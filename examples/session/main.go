@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("cold: %v\n", cold)
-	fmt.Printf("warm: %v (served from cache; results are defensive clones)\n", warm)
+	fmt.Printf("warm: %v (served from cache; results are fresh copies)\n", warm)
 	fmt.Printf("stats: %+v\n\n", s.Stats())
 
 	// 3. Concurrent identical requests are run once and shared

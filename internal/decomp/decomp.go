@@ -79,8 +79,9 @@ type Cluster struct {
 // Partition (the converters below may share them with the producing
 // algorithm's own result, never with other Partitions). Consumers that
 // retain them beyond a call must copy — apps.FromPartition copies, and the
-// session cache hands out Clone()s — and a caller that mutates them
-// forfeits every derived structure. Use Clone for an independent copy.
+// session cache keeps an immutable Frozen and hands out fresh copies — and
+// a caller that mutates them forfeits every derived structure. Use Clone
+// for an independent copy, Freeze for the compact immutable form.
 type Partition struct {
 	// Algorithm is the registry name of the producing algorithm.
 	Algorithm string
@@ -119,8 +120,7 @@ type Partition struct {
 
 // Clone returns a deep copy of the partition: the clusters, every member
 // slice and the vertex assignment are freshly allocated, so mutating the
-// copy (or the original) cannot corrupt the other. The session result
-// cache returns clones for exactly this reason.
+// copy (or the original) cannot corrupt the other.
 func (p *Partition) Clone() *Partition {
 	cp := *p
 	cp.Clusters = make([]Cluster, len(p.Clusters))

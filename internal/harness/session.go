@@ -14,7 +14,7 @@ import (
 // trials that repeat a (graph, plan, seed) triple — across experiments,
 // across bench iterations — are deduplicated and served from its result
 // cache, the same way a production deployment would share one session
-// across request handlers. Results are defensive clones, so drivers can
+// across request handlers. Results are fresh copies, so drivers can
 // slice and dice them freely.
 var sharedSession = session.New(session.WithCacheSize(512))
 

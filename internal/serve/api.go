@@ -5,7 +5,9 @@ package serve
 // (decomp.Plan.PlanKey). The request/response DTOs here are the wire
 // contract documented in DESIGN.md §12; decomp.Partition and session.Stats
 // marshal through their stable hand-rolled encoders, so responses are
-// byte-diffable.
+// byte-diffable. Decompose responses are written by respond.go straight
+// from the session's frozen entries, byte-identical to encoding/json's
+// rendering of DecomposeResponse.
 
 import (
 	"fmt"
@@ -28,8 +30,18 @@ func sortByString[T any](xs []T, key func(T) string) {
 	sort.Slice(xs, func(i, j int) bool { return key(xs[i]) < key(xs[j]) })
 }
 
-// keyString renders a 64-bit identifier the way the API exposes it.
-func keyString(k uint64) string { return fmt.Sprintf("%016x", k) }
+// keyString renders a 64-bit identifier the way the API exposes it: 16
+// lower-case hex digits.
+func keyString(k uint64) string { return string(appendKey(nil, k)) }
+
+// appendKey appends the keyString form of k without allocating.
+func appendKey(b []byte, k uint64) []byte {
+	const hex = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, hex[k>>uint(shift)&0xF])
+	}
+	return b
+}
 
 // parseKey parses a 16-hex-digit identifier (leading zeroes optional).
 func parseKey(s string) (uint64, error) {

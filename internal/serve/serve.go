@@ -307,11 +307,26 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON emits one JSON document with status code.
+// writeJSON emits one JSON document with status code. The document is
+// encoded before anything is sent, so an encoding error still answers
+// 500 instead of a 200 with an empty body.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b, err := json.Marshal(v)
+	if err != nil {
+		s.logf("serve: encoding response: %v", err)
+		s.fail(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	s.writeBody(w, code, append(b, '\n'))
+}
+
+// writeBody sends a complete JSON body with its Content-Length.
+func (s *Server) writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.logf("serve: writing response: %v", err)
 	}
 }
@@ -611,7 +626,9 @@ func (s *Server) resolve(req DecomposeRequest) (graph.Interface, *decomp.Plan, e
 // handleDecompose is the synchronous serving path: resolve, try the
 // cache-only read (a warm hit answers without admission — it holds no
 // worker and must survive saturation, degradation, and drain alike),
-// then shed/admit/deadline-bound the cold execution.
+// then shed/admit/deadline-bound the cold execution. Both answers encode
+// the session's shared frozen result straight into the response buffer
+// (see respond.go).
 func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	var req DecomposeRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&req); err != nil {
@@ -624,17 +641,17 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	if p, ok := s.sess.Peek(pl, g); ok {
+	if f, ok := s.sess.PeekFrozen(pl, g); ok {
 		lat := time.Since(start)
 		s.hDecompose.Observe(lat.Nanoseconds())
-		s.writeJSON(w, http.StatusOK, DecomposeResponse{
-			Graph:     keyString(graph.Fingerprint(g)),
-			Plan:      keyString(pl.PlanKey()),
-			Seed:      pl.Seed(),
-			Algorithm: pl.Name(),
-			CacheHit:  true,
-			LatencyNs: lat.Nanoseconds(),
-			Partition: p,
+		s.writeDecompose(w, &decomposeDoc{
+			graph:     graph.Fingerprint(g),
+			plan:      pl.PlanKey(),
+			seed:      pl.Seed(),
+			algorithm: pl.Name(),
+			cacheHit:  true,
+			latencyNs: lat.Nanoseconds(),
+			partition: f,
 		})
 		return
 	}
@@ -649,21 +666,21 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.gov.Deadline().Context(r.Context(), requestDeadline(r, req.DeadlineMs))
 	defer cancel()
 	j := s.sess.Submit(ctx, pl, g)
-	p, err := j.Wait()
+	f, err := j.WaitFrozen()
 	if err != nil {
 		s.failExec(w, r, err, "decompose")
 		return
 	}
 	lat := time.Since(start)
 	s.hDecompose.Observe(lat.Nanoseconds())
-	s.writeJSON(w, http.StatusOK, DecomposeResponse{
-		Graph:     keyString(j.Key().Graph),
-		Plan:      keyString(j.Key().Plan),
-		Seed:      j.Key().Seed,
-		Algorithm: pl.Name(),
-		CacheHit:  j.CacheHit(),
-		LatencyNs: lat.Nanoseconds(),
-		Partition: p,
+	s.writeDecompose(w, &decomposeDoc{
+		graph:     j.Key().Graph,
+		plan:      j.Key().Plan,
+		seed:      j.Key().Seed,
+		algorithm: pl.Name(),
+		cacheHit:  j.CacheHit(),
+		latencyNs: lat.Nanoseconds(),
+		partition: f,
 	})
 }
 

@@ -80,17 +80,17 @@ func (s *Server) handleDecomposeStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	if p, hit := s.sess.Peek(pl, g); hit {
+	if f, hit := s.sess.PeekFrozen(pl, g); hit {
 		s.cSSEClients.Inc()
 		startSSE(w, flusher)
-		writeSSE(w, "result", DecomposeResponse{
-			Graph:     keyString(graph.Fingerprint(g)),
-			Plan:      keyString(pl.PlanKey()),
-			Seed:      pl.Seed(),
-			Algorithm: pl.Name(),
-			CacheHit:  true,
-			LatencyNs: time.Since(start).Nanoseconds(),
-			Partition: p,
+		writeSSEResult(w, &decomposeDoc{
+			graph:     graph.Fingerprint(g),
+			plan:      pl.PlanKey(),
+			seed:      pl.Seed(),
+			algorithm: pl.Name(),
+			cacheHit:  true,
+			latencyNs: time.Since(start).Nanoseconds(),
+			partition: f,
 		})
 		flusher.Flush()
 		return
@@ -148,7 +148,7 @@ func (s *Server) handleDecomposeStream(w http.ResponseWriter, r *http.Request) {
 		}
 		break
 	}
-	p, err := j.Wait()
+	f, err := j.WaitFrozen()
 	if err != nil {
 		s.countExecErr(r, err)
 		writeSSE(w, "error", errorResponse{Error: err.Error()})
@@ -157,15 +157,15 @@ func (s *Server) handleDecomposeStream(w http.ResponseWriter, r *http.Request) {
 	}
 	lat := time.Since(start)
 	s.hDecompose.Observe(lat.Nanoseconds())
-	writeSSE(w, "result", DecomposeResponse{
-		Graph:         keyString(j.Key().Graph),
-		Plan:          keyString(j.Key().Plan),
-		Seed:          j.Key().Seed,
-		Algorithm:     pl.Name(),
-		CacheHit:      j.CacheHit(),
-		LatencyNs:     lat.Nanoseconds(),
-		DroppedRounds: dropped.Load(),
-		Partition:     p,
+	writeSSEResult(w, &decomposeDoc{
+		graph:         j.Key().Graph,
+		plan:          j.Key().Plan,
+		seed:          j.Key().Seed,
+		algorithm:     pl.Name(),
+		cacheHit:      j.CacheHit(),
+		latencyNs:     lat.Nanoseconds(),
+		droppedRounds: dropped.Load(),
+		partition:     f,
 	})
 	flusher.Flush()
 }

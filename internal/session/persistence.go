@@ -125,15 +125,16 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 }
 
 // ExportCache returns the completed-result cache as persistable entries in
-// LRU order (least recently used first). Partitions are defensive clones,
-// so a snapshot written from the export cannot alias live cache state.
+// LRU order (least recently used first). Partitions are freshly
+// materialized from the frozen entries, so a snapshot written from the
+// export cannot alias live cache state.
 func (s *Session) ExportCache() []CacheEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]CacheEntry, 0, s.order.Len())
 	for el := s.order.Back(); el != nil; el = el.Prev() {
 		ce := el.Value.(*cacheEntry)
-		out = append(out, CacheEntry{Key: ce.key, Partition: ce.p.Clone()})
+		out = append(out, CacheEntry{Key: ce.key, Partition: ce.f.Partition()})
 	}
 	return out
 }
@@ -142,8 +143,9 @@ func (s *Session) ExportCache() []CacheEntry {
 // oldest first, as if they had just completed: the LRU bound applies, so a
 // snapshot larger than the cache keeps only its most recent entries.
 // Seeding counts as neither hit nor miss; the number of entries actually
-// inserted is returned and counted in session.restored. Entries with a nil
-// partition are skipped.
+// inserted is returned and counted in session.restored. Each partition is
+// frozen on the way in; entries with a nil partition, or one that cannot
+// be frozen, are skipped.
 func (s *Session) SeedCache(entries []CacheEntry) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,10 +154,11 @@ func (s *Session) SeedCache(entries []CacheEntry) int {
 	}
 	n := 0
 	for _, e := range entries {
-		if e.Partition == nil {
+		f, err := e.Partition.Freeze()
+		if err != nil {
 			continue
 		}
-		s.cacheAdd(e.Key, e.Partition.Clone())
+		s.cacheAdd(e.Key, f)
 		n++
 	}
 	s.rec.Counter("session.restored").Add(int64(n))

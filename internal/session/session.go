@@ -13,8 +13,12 @@
 // deterministic in its seed), so the session runs the work once: a second
 // submission while the first is still executing attaches to it
 // (deduplicated), and a submission after it completed is served from the
-// cache. Served results are defensive Partition.Clone copies — callers can
-// mutate what they receive without corrupting the cache or each other.
+// cache. The cache holds each result once, as an immutable
+// decomp.Frozen: Run, Wait, Peek and ExportCache materialize a fresh
+// Partition per call, so callers can mutate what they receive without
+// corrupting the cache or each other, while PeekFrozen and Job.WaitFrozen
+// hand read-only consumers (the serving daemon's encoder) the shared
+// frozen form itself, with no copy at all.
 //
 // Typical use:
 //
@@ -168,7 +172,7 @@ type Session struct {
 // cacheEntry is one LRU slot.
 type cacheEntry struct {
 	key Key
-	p   *decomp.Partition
+	f   *decomp.Frozen
 }
 
 // flight is one scheduled execution plus everyone waiting on it.
@@ -187,7 +191,7 @@ type flight struct {
 	waiters int // guarded by s.mu; at 0 the execution is cancelled
 
 	done chan struct{}
-	p    *decomp.Partition
+	f    *decomp.Frozen
 	err  error
 }
 
@@ -299,10 +303,10 @@ func (s *Session) SubmitObserved(ctx context.Context, pl *decomp.Plan, g graph.I
 		j.err = ErrClosed
 		return j
 	}
-	if p, ok := s.cacheGet(key); ok {
+	if f, ok := s.cacheGet(key); ok {
 		s.cHits.Inc()
 		s.mu.Unlock()
-		j.p, j.hit = p, true
+		j.f, j.hit = f, true
 		s.hHit.Observe(time.Since(start).Nanoseconds())
 		return j
 	}
@@ -356,7 +360,7 @@ type Request struct {
 type Result struct {
 	// Index is the position of the originating Request.
 	Index int
-	// Partition is the result clone (nil when Err is set).
+	// Partition is a fresh copy of the result (nil when Err is set).
 	Partition *decomp.Partition
 	// Err is the job error, ctx expiry included.
 	Err error
@@ -406,20 +410,32 @@ func (s *Session) Stats() Stats {
 	}
 }
 
-// Peek serves pl-on-g from the completed-result cache alone: a defensive
-// clone and true on a hit (counted as a session hit), nil and false
-// otherwise — no execution is scheduled, no dedup attach happens, and a
-// miss counts nothing. This is the degraded-mode read path: an
+// Peek serves pl-on-g from the completed-result cache alone: a freshly
+// materialized copy and true on a hit (counted as a session hit), nil and
+// false otherwise — no execution is scheduled, no dedup attach happens,
+// and a miss counts nothing. This is the degraded-mode read path: an
 // overloaded or draining server can keep answering everything it already
 // knows while admitting no new work.
 func (s *Session) Peek(pl *decomp.Plan, g graph.Interface) (*decomp.Partition, bool) {
+	f, ok := s.PeekFrozen(pl, g)
+	if !ok {
+		return nil, false
+	}
+	return f.Partition(), true
+}
+
+// PeekFrozen is Peek without the copy: on a hit (counted exactly as Peek
+// counts one) it returns the cached immutable form itself, shared with
+// the cache and every other reader. Encode it or materialize it with
+// Frozen.Partition; it stays valid after the entry is evicted.
+func (s *Session) PeekFrozen(pl *decomp.Plan, g graph.Interface) (*decomp.Frozen, bool) {
 	if pl == nil || g == nil {
 		return nil, false
 	}
 	start := time.Now()
 	key := KeyFor(pl, g)
 	s.mu.Lock()
-	p, ok := s.cacheGet(key)
+	f, ok := s.cacheGet(key)
 	if ok {
 		s.cHits.Inc()
 	}
@@ -428,7 +444,7 @@ func (s *Session) Peek(pl *decomp.Plan, g graph.Interface) (*decomp.Partition, b
 		return nil, false
 	}
 	s.hHit.Observe(time.Since(start).Nanoseconds())
-	return p.Clone(), true
+	return f, true
 }
 
 // InvalidateGraph drops every cached result keyed to the graph fingerprint
@@ -504,14 +520,16 @@ func (s *Session) worker() {
 	}
 }
 
-// execute runs one flight, stores the result, and wakes the waiters. The
-// execution is wrapped in a "job" span carrying the cache key triple, and
-// unless the plan brought its own recorder it inherits the session's,
-// rooted at that span — so the plan, phase and round telemetry of a
-// session-served run lands in the session registry.
+// execute runs one flight, freezes and stores the result, and wakes the
+// waiters. The execution is wrapped in a "job" span carrying the cache
+// key triple, and unless the plan brought its own recorder it inherits
+// the session's, rooted at that span — so the plan, phase and round
+// telemetry of a session-served run lands in the session registry. A
+// result that cannot be frozen (a value outside int32) resolves the
+// flight with that error and caches nothing.
 func (s *Session) execute(fl *flight) {
 	defer fl.cancel()
-	var p *decomp.Partition
+	var f *decomp.Frozen
 	err := fl.runCtx.Err() // all waiters may have abandoned while queued
 	if err == nil {
 		span := s.rec.Span("job",
@@ -522,12 +540,15 @@ func (s *Session) execute(fl *flight) {
 		if pl.Recorder() == nil {
 			pl = pl.WithRecorder(s.rec.Under(span))
 		}
-		p, err = s.runProtected(fl.runCtx, pl, fl.g)
+		var p *decomp.Partition
+		if p, err = s.runProtected(fl.runCtx, pl, fl.g); err == nil {
+			f, err = p.Freeze()
+		}
 		span.End()
 	}
 	s.mu.Lock()
 	if err == nil {
-		s.cacheAdd(fl.key, p)
+		s.cacheAdd(fl.key, f)
 	}
 	// A doomed flight (all waiters abandoned) may have been replaced in
 	// the inflight table by a fresh submission; only remove our own entry.
@@ -536,7 +557,7 @@ func (s *Session) execute(fl *flight) {
 	}
 	s.gInflight.Set(int64(len(s.inflight)))
 	s.mu.Unlock()
-	fl.p, fl.err = p, err
+	fl.f, fl.err = f, err
 	close(fl.done)
 }
 
@@ -602,29 +623,29 @@ func (fl *flight) addObservers(j *Job, fns ...func(dist.RoundStats)) {
 	fl.obsMu.Unlock()
 }
 
-// cacheGet returns the cached partition for key, refreshing its LRU
+// cacheGet returns the cached result for key, refreshing its LRU
 // position. Caller holds s.mu.
-func (s *Session) cacheGet(key Key) (*decomp.Partition, bool) {
+func (s *Session) cacheGet(key Key) (*decomp.Frozen, bool) {
 	el, ok := s.items[key]
 	if !ok {
 		return nil, false
 	}
 	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).p, true
+	return el.Value.(*cacheEntry).f, true
 }
 
 // cacheAdd inserts (or refreshes) a completed result, evicting the least
 // recently used entry past the bound. Caller holds s.mu.
-func (s *Session) cacheAdd(key Key, p *decomp.Partition) {
+func (s *Session) cacheAdd(key Key, f *decomp.Frozen) {
 	if s.cacheCap == 0 {
 		return
 	}
 	if el, ok := s.items[key]; ok {
-		el.Value.(*cacheEntry).p = p
+		el.Value.(*cacheEntry).f = f
 		s.order.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.order.PushFront(&cacheEntry{key: key, p: p})
+	s.items[key] = s.order.PushFront(&cacheEntry{key: key, f: f})
 	for s.order.Len() > s.cacheCap {
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
@@ -641,7 +662,7 @@ type Job struct {
 
 	fl *flight // nil when resolved at submit time (cache hit or error)
 
-	p   *decomp.Partition
+	f   *decomp.Frozen
 	err error
 	hit bool
 
@@ -680,22 +701,29 @@ func (j *Job) Done() <-chan struct{} {
 	return ch
 }
 
-// Wait blocks until the job resolves and returns a defensive clone of the
-// result (safe to mutate). If the job's ctx expires first, Wait abandons
-// the wait and returns the ctx error; the shared execution keeps running
-// for its other waiters and is cancelled only when the last one abandons
-// it. Wait may be called multiple times; each successful call returns a
-// fresh clone.
+// Wait blocks until the job resolves and returns a freshly materialized
+// copy of the result (safe to mutate). If the job's ctx expires first,
+// Wait abandons the wait and returns the ctx error; the shared execution
+// keeps running for its other waiters and is cancelled only when the last
+// one abandons it. Wait may be called multiple times; each successful
+// call returns a fresh copy.
 //
 // If an observer attached by this job panicked during the execution, Wait
 // returns that error to this job alone: the shared execution completed,
 // its result is cached, and the other waiters receive it normally.
 func (j *Job) Wait() (*decomp.Partition, error) {
+	f, err := j.WaitFrozen()
+	if err != nil {
+		return nil, err
+	}
+	return f.Partition(), nil
+}
+
+// WaitFrozen is Wait without the copy: it returns the shared immutable
+// result, the same value the cache holds, for read-only consumers.
+func (j *Job) WaitFrozen() (*decomp.Frozen, error) {
 	if j.fl == nil {
-		if j.err != nil {
-			return nil, j.err
-		}
-		return j.p.Clone(), nil
+		return j.f, j.err
 	}
 	select {
 	case <-j.fl.done:
@@ -714,17 +742,23 @@ func (j *Job) Wait() (*decomp.Partition, error) {
 
 // resolve reads the completed flight's outcome for this job. Must only be
 // called after j.fl.done is closed.
-func (j *Job) resolve() (*decomp.Partition, error) {
+func (j *Job) resolve() (*decomp.Frozen, error) {
 	j.latOnce.Do(func() {
 		j.lat.Observe(time.Since(j.start).Nanoseconds())
 	})
 	if j.fl.err != nil {
+		// The last waiter to abandon cancels the execution, so a waiter
+		// whose own ctx expired can find the flight resolved with that
+		// cancellation; it reports its own ctx error, as Wait documents.
+		if errors.Is(j.fl.err, context.Canceled) && j.ctx.Err() != nil {
+			return nil, j.ctx.Err()
+		}
 		return nil, j.fl.err
 	}
 	if j.obsErr != nil {
 		return nil, j.obsErr
 	}
-	return j.fl.p.Clone(), nil
+	return j.fl.f, nil
 }
 
 // detach removes this job from its flight's waiter count, cancelling the

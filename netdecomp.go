@@ -29,7 +29,7 @@
 // configuration once (Compile → immutable Plan with a stable PlanKey) and
 // serves executions through NewSession: a bounded worker pool with
 // singleflight deduplication and an LRU cache of completed Partitions
-// keyed on (GraphFingerprint, PlanKey, seed), returning defensive clones.
+// keyed on (GraphFingerprint, PlanKey, seed), returning fresh copies.
 // See examples/session and DESIGN.md §10.
 //
 // The per-algorithm entry points below (Decompose, DecomposeDistributed,

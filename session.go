@@ -17,8 +17,8 @@ import (
 //	p, err := s.Run(ctx, pl.WithSeed(7), g)   // cold: executes
 //	p2, _ := s.Run(ctx, pl.WithSeed(7), g)    // warm: served from cache
 //
-// Results are defensive clones keyed on (GraphFingerprint, PlanKey, seed);
-// see internal/session for the full semantics.
+// Results are keyed on (GraphFingerprint, PlanKey, seed) and every caller
+// gets its own fresh copy; see internal/session for the full semantics.
 
 // Plan is the immutable compiled form of (algorithm, resolved options):
 // validated once by Compile, executed any number of times with Run, and
@@ -39,7 +39,7 @@ func CompileDecomposer(d Decomposer, opts ...DecomposeOption) (*Plan, error) {
 
 // Session is the concurrent plan-execution service: a bounded worker
 // pool with singleflight deduplication of identical in-flight jobs and an
-// LRU cache of completed Partitions (served as defensive clones).
+// LRU cache of completed Partitions (served as fresh copies).
 type Session = session.Session
 
 // SessionOption configures NewSession.
