@@ -53,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -68,6 +69,9 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, w io.Writer) error {
+	// Handler goroutines log through opts.Logf while the server loop and
+	// the chaos harness write progress to the same stream.
+	w = &lockedWriter{w: w}
 	fs := flag.NewFlagSet("netdecompd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address for the API (and /metrics, /debug)")
 	store := fs.String("store", "", "persistent result store path (empty = in-memory only)")
@@ -152,6 +156,19 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		})
 	}
 	return runServer(ctx, w, opts, *addr, *drainTimeout)
+}
+
+// lockedWriter serializes writes to w, so concurrent log lines never race
+// or interleave.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // runServer boots the daemon and serves until the context is cancelled or

@@ -136,7 +136,3 @@ func VerifyPartition(g GraphInterface, p *Partition) *VerifyReport { return p.Ve
 func AppInputFromPartition(g GraphInterface, p *Partition) (AppInput, error) {
 	return apps.FromPartition(g, p)
 }
-
-// PartitionFromDecomposition converts a legacy core Decomposition into the
-// unified Partition (shims and migration aid).
-func PartitionFromDecomposition(dec *Decomposition) *Partition { return decomp.FromCore(dec) }

@@ -2,7 +2,6 @@ package netdecomp_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"netdecomp"
@@ -48,65 +47,6 @@ func TestUnifiedAPIEndToEnd(t *testing.T) {
 	}
 	if _, err := netdecomp.BuildCover(g, netdecomp.CoverOptions{W: 1, K: 3, Seed: 2, Algorithm: "mpx"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestDeprecatedShimsBitIdentical pins the acceptance criterion: the
-// legacy entry points and the registry produce identical clusters for
-// equal seeds.
-func TestDeprecatedShimsBitIdentical(t *testing.T) {
-	g := netdecomp.GnpConnected(netdecomp.NewRNG(2), 250, 0.02)
-	ctx := context.Background()
-
-	dec, err := netdecomp.Decompose(g, netdecomp.Options{K: 4, C: 8, Seed: 11, ForceComplete: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := netdecomp.MustGet("elkin-neiman").Decompose(ctx, g,
-		netdecomp.WithK(4), netdecomp.WithC(8), netdecomp.WithSeed(11), netdecomp.WithForceComplete())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(netdecomp.PartitionFromDecomposition(dec).MemberLists(), p.MemberLists()) {
-		t.Fatal("Decompose shim and registry disagree")
-	}
-
-	ls, err := netdecomp.LinialSaks(g, netdecomp.LSOptions{K: 4, Seed: 11, ForceComplete: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lp, err := netdecomp.MustGet("linial-saks").Decompose(ctx, g,
-		netdecomp.WithK(4), netdecomp.WithSeed(11), netdecomp.WithForceComplete())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ls.MemberLists(), lp.MemberLists()) {
-		t.Fatal("LinialSaks shim and registry disagree")
-	}
-
-	mr, err := netdecomp.MPX(g, netdecomp.MPXOptions{Beta: 0.3, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := netdecomp.MustGet("mpx").Decompose(ctx, g,
-		netdecomp.WithBeta(0.3), netdecomp.WithSeed(11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mr.MemberLists(), mp.MemberLists()) {
-		t.Fatal("MPX shim and registry disagree")
-	}
-
-	bc, err := netdecomp.BallCarving(g, netdecomp.BCOptions{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := netdecomp.MustGet("ball-carving").Decompose(ctx, g, netdecomp.WithK(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bc.MemberLists(), bp.MemberLists()) {
-		t.Fatal("BallCarving shim and registry disagree")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"log"
 	"math"
 
-	"netdecomp"
 	"netdecomp/internal/core"
 	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
@@ -28,25 +27,26 @@ func main() {
 	opts := core.Options{K: k, C: 8, Seed: 21}
 
 	// Run the node program on the parallel scheduler with per-round stats.
-	p, metrics, err := core.RunDistributedWithMetrics(context.Background(), g, opts, dist.Options{
+	p, err := core.RunDistributed(context.Background(), g, opts, dist.Options{
 		Parallel:     true,
 		RecordRounds: true,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	metrics := p.Metrics
 	fmt.Printf("decomposition: %d clusters, %d colors, complete=%v\n",
 		len(p.Clusters), p.Colors, p.Complete)
 	fmt.Printf("engine: %d rounds, %d messages, %d words total, max message %d words\n",
 		metrics.Rounds, metrics.Messages, metrics.Words, metrics.MaxMessageWords)
 
 	// The same run through the sequential reference must agree exactly.
-	ref, err := netdecomp.Decompose(g, opts)
+	ref, err := core.Run(g, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("cross-check vs sequential simulation: clusters %d==%d, messages %d==%d\n",
-		len(ref.Clusters), len(p.Clusters), ref.Messages, p.Messages)
+		len(ref.Clusters), len(p.Clusters), ref.Metrics.Messages, metrics.Messages)
 
 	// Busiest rounds of the execution.
 	fmt.Println("\nbusiest rounds (phase boundaries carry the initial broadcasts):")

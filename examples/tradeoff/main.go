@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -35,11 +36,17 @@ func main() {
 }
 
 func report(g *netdecomp.Graph, o netdecomp.Options, label string) {
-	dec, err := netdecomp.Decompose(g, o)
+	opts := []netdecomp.DecomposeOption{
+		netdecomp.WithK(o.K), netdecomp.WithLambda(o.Lambda), netdecomp.WithC(o.C), netdecomp.WithSeed(o.Seed),
+	}
+	if o.ForceComplete {
+		opts = append(opts, netdecomp.WithForceComplete())
+	}
+	p, err := netdecomp.MustGet("elkin-neiman/"+o.Variant.String()).Decompose(context.Background(), g, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep := netdecomp.Verify(g, dec)
+	rep := netdecomp.VerifyPartition(g, p)
 	if !rep.Valid() {
 		log.Fatalf("%s: %v", label, rep.Err())
 	}
@@ -48,5 +55,5 @@ func report(g *netdecomp.Graph, o netdecomp.Options, label string) {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-10s %-8s %-10d %-8d %-8d %-8d\n",
-		label, "", rep.MaxStrongDiameter, dBound, dec.Colors, dec.Rounds)
+		label, "", rep.MaxStrongDiameter, dBound, p.Colors, p.Metrics.Rounds)
 }

@@ -24,11 +24,12 @@ func TestFacadeCoverAndSpanner(t *testing.T) {
 		t.Fatalf("cover degree %d exceeds chi %d", c.Degree, c.Colors)
 	}
 
-	dec, err := netdecomp.Decompose(g, netdecomp.Options{K: 4, C: 8, Seed: 2, ForceComplete: true})
+	p, err := netdecomp.MustGet("elkin-neiman").Decompose(context.Background(), g,
+		netdecomp.WithK(4), netdecomp.WithC(8), netdecomp.WithSeed(2), netdecomp.WithForceComplete())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := netdecomp.BuildSpanner(g, dec)
+	sp, err := netdecomp.BuildSpannerFrom(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,8 @@ func TestFacadeGraphIO(t *testing.T) {
 	}
 }
 
-// TestFacadeExtraBaselines exercises RandomColoring and MPXDistributed.
+// TestFacadeExtraBaselines exercises RandomColoring and the engine-backed
+// MPX.
 func TestFacadeExtraBaselines(t *testing.T) {
 	g := netdecomp.RingOfCliques(6, 5)
 	col, err := netdecomp.RandomColoring(g, 3)
@@ -66,11 +68,12 @@ func TestFacadeExtraBaselines(t *testing.T) {
 	if col.NumColors > g.MaxDegree()+1 {
 		t.Fatalf("random coloring used %d colors", col.NumColors)
 	}
-	a, err := netdecomp.MPX(g, netdecomp.MPXOptions{Beta: 0.3, Seed: 4})
+	ctx := context.Background()
+	a, err := netdecomp.MustGet("mpx").Decompose(ctx, g, netdecomp.WithBeta(0.3), netdecomp.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := netdecomp.MPXDistributed(g, netdecomp.MPXOptions{Beta: 0.3, Seed: 4})
+	b, err := netdecomp.MustGet("mpx/dist").Decompose(ctx, g, netdecomp.WithBeta(0.3), netdecomp.WithSeed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestFacadeExtraBaselines(t *testing.T) {
 // TestFacadeBallCarving exercises the sequential yardstick baseline.
 func TestFacadeBallCarving(t *testing.T) {
 	g := netdecomp.Grid(10, 10)
-	p, err := netdecomp.BallCarving(g, netdecomp.BCOptions{K: 7})
+	p, err := netdecomp.MustGet("ball-carving").Decompose(context.Background(), g, netdecomp.WithK(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,14 +15,13 @@ import (
 	"fmt"
 	"sort"
 
-	"netdecomp/internal/core"
-	"netdecomp/internal/decomp"
 	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 )
 
 // Input is a complete clustered view of a graph: member lists with a
 // per-cluster color forming a proper supergraph coloring. Build one with
-// FromPartition (any registered algorithm's output) or FromCore.
+// FromPartition from any algorithm's partition.Partition.
 type Input struct {
 	// Clusters holds the member lists (each sorted ascending).
 	Clusters [][]int
@@ -30,27 +29,7 @@ type Input struct {
 	Colors []int
 }
 
-// FromCore adapts a core.Decomposition (which must be complete — run with
-// ForceComplete to guarantee that) into an application input.
-//
-// Deprecated: use FromPartition with decomp.FromCore, which also accepts
-// the other registered algorithms' results.
-func FromCore(dec *core.Decomposition) (Input, error) {
-	if !dec.Complete {
-		return Input{}, fmt.Errorf("apps: decomposition incomplete (%d vertices unassigned); run with ForceComplete", len(dec.Unassigned()))
-	}
-	in := Input{
-		Clusters: make([][]int, len(dec.Clusters)),
-		Colors:   make([]int, len(dec.Clusters)),
-	}
-	for i := range dec.Clusters {
-		in.Clusters[i] = dec.Clusters[i].Members
-		in.Colors[i] = dec.Clusters[i].Color
-	}
-	return in, nil
-}
-
-// FromPartition adapts any complete unified Partition into an application
+// FromPartition adapts any complete Partition into an application
 // input, so MIS, coloring and matching run on every registered algorithm's
 // output.
 //
@@ -66,7 +45,7 @@ func FromCore(dec *core.Decomposition) (Input, error) {
 // sequential O(m) preprocessing step standing in for the O(Δ_P log n)
 // distributed supergraph coloring a fully local execution would run. The
 // sweep then costs O(D·χ') for the resulting χ'.
-func FromPartition(g graph.Interface, p *decomp.Partition) (Input, error) {
+func FromPartition(g graph.Interface, p *partition.Partition) (Input, error) {
 	if !p.Complete {
 		return Input{}, fmt.Errorf("apps: partition incomplete (%d vertices unassigned); decompose with WithForceComplete", len(p.Unassigned()))
 	}
@@ -86,7 +65,7 @@ func FromPartition(g graph.Interface, p *decomp.Partition) (Input, error) {
 // greedySupergraphColors first-fit colors the cluster supergraph in
 // cluster creation order, yielding a proper per-cluster coloring for
 // partitions that lack one.
-func greedySupergraphColors(g graph.Interface, p *decomp.Partition) []int {
+func greedySupergraphColors(g graph.Interface, p *partition.Partition) []int {
 	sg := p.Supergraph(g)
 	colors := make([]int, sg.N())
 	for ci := range colors {

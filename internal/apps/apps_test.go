@@ -18,7 +18,7 @@ func decompose(t *testing.T, g *graph.Graph, seed uint64) Input {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := FromCore(dec)
+	in, err := FromPartition(g, &dec.Partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRoundsTrackDChi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := FromCore(dec)
+	in, err := FromPartition(g, &dec.Partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,27 +147,13 @@ func TestRoundsTrackDChi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxDiam, ok := dec.StrongDiameter(g)
-	if !ok {
+	maxDiam, disconnected := dec.StrongDiameter(g)
+	if disconnected != 0 {
 		t.Fatal("disconnected cluster")
 	}
 	bound := dec.Colors * (2*maxDiam + 2)
 	if res.Rounds > bound {
 		t.Fatalf("MIS rounds %d exceed χ(2D+2) = %d", res.Rounds, bound)
-	}
-}
-
-func TestFromCoreRejectsIncomplete(t *testing.T) {
-	g := testGraphs["gnp"]
-	dec, err := core.Run(g, core.Options{K: 3, C: 8, Seed: 1, PhaseBudget: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Complete {
-		t.Skip("single phase completed the decomposition")
-	}
-	if _, err := FromCore(dec); err == nil {
-		t.Fatal("incomplete decomposition accepted")
 	}
 }
 
@@ -250,7 +236,7 @@ func BenchmarkMISViaDecomposition(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in, err := FromCore(dec)
+	in, err := FromPartition(g, &dec.Partition)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,7 +95,7 @@ func TestFromPartitionRecolorsMPX(t *testing.T) {
 	}
 }
 
-// TestFromPartitionRejectsIncomplete mirrors the FromCore contract.
+// TestFromPartitionRejectsIncomplete: an incomplete partition is rejected.
 func TestFromPartitionRejectsIncomplete(t *testing.T) {
 	g := gen.GnpConnected(randx.New(3), 150, 0.02)
 	p, err := decomp.MustGet("elkin-neiman").Decompose(context.Background(), g,

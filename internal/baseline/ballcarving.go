@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 )
 
 // BCOptions configures the deterministic ball-carving decomposition.
@@ -28,16 +29,16 @@ type BCOptions struct {
 // exceeding n, so the radius stays ≤ K; at K = log₂ n each phase defers
 // fewer vertices than it clusters, so O(log n) phases suffice). The paper's
 // contribution is matching it with an efficient *distributed* algorithm —
-// this sequential construction is inherently global, so its "Rounds" are
+// this sequential construction is inherently global, so its rounds are
 // reported as 0 and it serves purely as the quality yardstick in the
 // comparison experiments.
-func BallCarving(g graph.Interface, o BCOptions) (*Partition, error) {
+func BallCarving(g graph.Interface, o BCOptions) (*partition.Partition, error) {
 	return BallCarvingContext(context.Background(), g, o)
 }
 
 // BallCarvingContext is BallCarving with cancellation: ctx is checked
 // between phases and the run returns ctx.Err() when cancelled.
-func BallCarvingContext(ctx context.Context, g graph.Interface, o BCOptions) (*Partition, error) {
+func BallCarvingContext(ctx context.Context, g graph.Interface, o BCOptions) (*partition.Partition, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -45,10 +46,7 @@ func BallCarvingContext(ctx context.Context, g graph.Interface, o BCOptions) (*P
 	if o.K < 1 {
 		return nil, fmt.Errorf("baseline: BallCarving requires K >= 1, got %d", o.K)
 	}
-	part := &Partition{N: n, ClusterOf: make([]int, n)}
-	for v := range part.ClusterOf {
-		part.ClusterOf[v] = -1
-	}
+	part := newPartition("ball-carving", n, partition.StrongDiameter)
 	if n == 0 {
 		part.Complete = true
 		return part, nil
@@ -132,7 +130,7 @@ func BallCarvingContext(ctx context.Context, g graph.Interface, o BCOptions) (*P
 					working[ui] = false // deferred to a later phase
 				}
 			}
-			part.addCluster(members, start, phase, part.Colors)
+			addCluster(part, members, start, phase, part.Colors)
 			remaining -= len(members)
 			carvedAny = true
 		}

@@ -10,114 +10,40 @@
 //     partition" whose shifted-shortest-path comparison rule Elkin–Neiman
 //     adapt from the PRAM model to distributed network decomposition.
 //     Experiment T8 reproduces its cut-fraction and diameter behaviour.
+//
+// It also holds the deterministic sequential ball-carving yardstick. Every
+// algorithm returns the repository's one result type, a
+// *partition.Partition labelled with its registry name.
 package baseline
 
 import (
 	"sort"
 
-	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 )
 
-// Cluster is one cluster of a baseline clustering.
-type Cluster struct {
-	// Members are the vertex ids, sorted ascending.
-	Members []int
-	// Center is the vertex whose broadcast captured the members.
-	Center int
-	// Phase is the phase that carved the cluster (always 0 for MPX).
-	Phase int
-	// Color is the compressed color class (phase index among non-empty
-	// phases for LS93; always 0 for MPX, which is a partition rather than
-	// a decomposition).
-	Color int
-}
-
-// Partition is the result shared by the baseline algorithms.
-type Partition struct {
-	N         int
-	Clusters  []Cluster
-	ClusterOf []int // -1 when unassigned
-	Colors    int
-	// PhasesUsed / PhaseBudget describe the phase loop (LS93).
-	PhasesUsed  int
-	PhaseBudget int
-	// Rounds and Messages account the distributed cost: rounds are the
-	// synchronous rounds of the standard distributed implementation, and
-	// messages count each broadcast forwarded over each edge once.
-	Rounds   int
-	Messages int64
-	Complete bool
-}
-
-// ColorOf returns the color of v's cluster, or -1 when unassigned.
-func (p *Partition) ColorOf(v int) int {
-	ci := p.ClusterOf[v]
-	if ci < 0 {
-		return -1
+// newPartition returns the empty partition of an n-vertex graph produced
+// by the named algorithm: every vertex unassigned, no cluster carved,
+// colors proper unless the caller says otherwise.
+func newPartition(algorithm string, n int, mode partition.DiameterMode) *partition.Partition {
+	p := &partition.Partition{
+		Algorithm:    algorithm,
+		N:            n,
+		ClusterOf:    make([]int, n),
+		Mode:         mode,
+		ProperColors: true,
 	}
-	return p.Clusters[ci].Color
-}
-
-// MemberLists returns the clusters as plain member slices, the shape the
-// verify package consumes.
-func (p *Partition) MemberLists() [][]int {
-	out := make([][]int, len(p.Clusters))
-	for i := range p.Clusters {
-		out[i] = p.Clusters[i].Members
+	for v := range p.ClusterOf {
+		p.ClusterOf[v] = -1
 	}
-	return out
+	return p
 }
 
-// DisconnectedClusters counts clusters whose induced subgraph is
-// disconnected — i.e. clusters with infinite strong diameter. This is the
-// quantity that separates weak from strong decompositions.
-func (p *Partition) DisconnectedClusters(g graph.Interface) int {
-	count := 0
-	for i := range p.Clusters {
-		if _, ok := graph.SubsetStrongDiameter(g, p.Clusters[i].Members); !ok {
-			count++
-		}
-	}
-	return count
-}
-
-// StrongDiameter returns the maximum strong diameter over connected
-// clusters and the number of disconnected (infinite-diameter) clusters.
-func (p *Partition) StrongDiameter(g graph.Interface) (maxConnected int, disconnected int) {
-	for i := range p.Clusters {
-		d, ok := graph.SubsetStrongDiameter(g, p.Clusters[i].Members)
-		if !ok {
-			disconnected++
-			continue
-		}
-		if d > maxConnected {
-			maxConnected = d
-		}
-	}
-	return maxConnected, disconnected
-}
-
-// WeakDiameter returns the maximum weak diameter over all clusters; ok is
-// false if some cluster spans two components of g.
-func (p *Partition) WeakDiameter(g graph.Interface) (int, bool) {
-	max := 0
-	for i := range p.Clusters {
-		d, ok := graph.SubsetWeakDiameter(g, p.Clusters[i].Members)
-		if !ok {
-			return 0, false
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max, true
-}
-
-// addCluster appends a cluster, wiring ClusterOf, with members sorted.
-func (p *Partition) addCluster(members []int, center, phase, color int) {
+// addCluster appends a cluster to p, wiring ClusterOf, with members sorted.
+func addCluster(p *partition.Partition, members []int, center, phase, color int) {
 	sort.Ints(members)
 	ci := len(p.Clusters)
-	p.Clusters = append(p.Clusters, Cluster{Members: members, Center: center, Phase: phase, Color: color})
+	p.Clusters = append(p.Clusters, partition.Cluster{Members: members, Center: center, Phase: phase, Color: color})
 	for _, v := range members {
 		p.ClusterOf[v] = ci
 	}

@@ -1,19 +1,22 @@
 package baseline
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
 	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 	"netdecomp/internal/randx"
 )
 
 // checkLSPartition verifies the structural invariants of a Linial–Saks
 // result: clusters disjoint, ClusterOf consistent, proper coloring of the
 // cluster supergraph, weak diameter within 2K-2.
-func checkLSPartition(t *testing.T, g *graph.Graph, p *Partition, k int) {
+func checkLSPartition(t *testing.T, g *graph.Graph, p *partition.Partition, k int) {
 	t.Helper()
 	seen := make([]bool, g.N())
 	for ci, c := range p.Clusters {
@@ -366,7 +369,7 @@ func TestQuickMPXPartitionProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := MPXDistributed(g, MPXOptions{Beta: beta, Seed: seed})
+		b, err := MPXOnEngine(context.Background(), g, MPXOptions{Beta: beta, Seed: seed}, dist.Options{})
 		if err != nil {
 			return false
 		}

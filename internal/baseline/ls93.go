@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 	"netdecomp/internal/randx"
 )
 
@@ -45,13 +46,13 @@ type LSOptions struct {
 // Rounds are counted as K−1 per phase (the maximum broadcast depth);
 // messages count each broadcast forwarded over each edge of its ball once,
 // which is the LS93 accounting of broadcast cost.
-func LinialSaks(g graph.Interface, o LSOptions) (*Partition, error) {
+func LinialSaks(g graph.Interface, o LSOptions) (*partition.Partition, error) {
 	return LinialSaksContext(context.Background(), g, o)
 }
 
 // LinialSaksContext is LinialSaks with cancellation: ctx is checked
 // between phases and the run returns ctx.Err() when cancelled.
-func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*Partition, error) {
+func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*partition.Partition, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -65,10 +66,7 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*Pa
 	if o.C <= 1 {
 		return nil, fmt.Errorf("baseline: LinialSaks requires C > 1, got %v", o.C)
 	}
-	part := &Partition{N: n, ClusterOf: make([]int, n)}
-	for v := range part.ClusterOf {
-		part.ClusterOf[v] = -1
-	}
+	part := newPartition("linial-saks", n, partition.WeakDiameter)
 	if n == 0 {
 		part.Complete = true
 		return part, nil
@@ -124,7 +122,7 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*Pa
 			}
 			bestID[v] = -1
 		}
-		part.Rounds += o.K - 1
+		part.Metrics.Rounds += o.K - 1
 
 		// Exact candidate election: BFS from every center within its
 		// radius, keeping the minimum-id winner at every reached vertex.
@@ -155,7 +153,7 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*Pa
 					stamp[w] = epoch
 					dist[w] = du + 1
 					queue = append(queue, w)
-					part.Messages++
+					part.Metrics.Messages++
 				}
 			}
 		}
@@ -185,7 +183,7 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*Pa
 				for hi < len(members) && bestID[members[hi]] == c {
 					hi++
 				}
-				part.addCluster(members[lo:hi:hi], c, phase, part.Colors)
+				addCluster(part, members[lo:hi:hi], c, phase, part.Colors)
 				aliveCount -= hi - lo
 				lo = hi
 			}

@@ -4,8 +4,10 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"slices"
 
 	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 	"netdecomp/internal/randx"
 )
 
@@ -19,17 +21,14 @@ type MPXOptions struct {
 	Seed uint64
 }
 
-// MPXResult is the padded partition produced by MPX: a single partition
-// (every cluster has color 0 — MPX is a low-diameter partition, not a
-// decomposition) plus the quality measures its analysis bounds.
-type MPXResult struct {
-	Partition
-	// Delta are the exponential shifts δ_u.
-	Delta []float64
-	// CutEdges is the number of edges whose endpoints lie in different
-	// clusters, and CutFraction its share of all edges.
-	CutEdges    int
-	CutFraction float64
+// shifts draws the exponential shift δ_u ~ Exp(β) of every vertex u — the
+// one random draw both MPX paths share, so they agree cluster for cluster.
+func shifts(o MPXOptions, n int) []float64 {
+	delta := make([]float64, n)
+	for v := range delta {
+		delta[v] = randx.Exp(randx.Derive(o.Seed, uint64(v)), o.Beta)
+	}
+	return delta
 }
 
 // MPX computes the Miller–Peng–Xu low-diameter partition of g: every
@@ -37,15 +36,18 @@ type MPXResult struct {
 // cluster of the center u maximizing δ_u − d(u, y) (ties to the smaller
 // id). The computation is the standard shifted-start multi-source
 // Dijkstra; rounds are counted as ⌈max δ⌉ (the depth of the equivalent
-// distributed broadcast) and messages as one per edge traversal.
-func MPX(g graph.Interface, o MPXOptions) (*MPXResult, error) {
+// distributed broadcast) and messages as one per edge traversal. MPX is a
+// low-diameter partition, not a decomposition: every cluster has color 0,
+// ProperColors is false, and CutEdges / CutFraction carry the quality
+// measures its analysis bounds.
+func MPX(g graph.Interface, o MPXOptions) (*partition.Partition, error) {
 	return MPXContext(context.Background(), g, o)
 }
 
 // MPXContext is MPX with cancellation: the single Dijkstra pass checks ctx
 // once up front (the pass itself runs in milliseconds even on large
 // graphs, so a finer granularity buys nothing).
-func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*MPXResult, error) {
+func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*partition.Partition, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -55,25 +57,11 @@ func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*MPXResul
 		return nil, errBeta(o.Beta)
 	}
 	n := g.N()
-	res := &MPXResult{
-		Partition: Partition{N: n, ClusterOf: make([]int, n)},
-		Delta:     make([]float64, n),
-	}
-	for v := range res.ClusterOf {
-		res.ClusterOf[v] = -1
-	}
+	res := newMPXPartition("mpx", n)
 	if n == 0 {
-		res.Complete = true
 		return res, nil
 	}
-	maxDelta := 0.0
-	for v := 0; v < n; v++ {
-		rng := randx.Derive(o.Seed, uint64(v))
-		res.Delta[v] = randx.Exp(rng, o.Beta)
-		if res.Delta[v] > maxDelta {
-			maxDelta = res.Delta[v]
-		}
-	}
+	delta := shifts(o, n)
 
 	// Multi-source Dijkstra on keys f(y) = d(u, y) − δ_u: every vertex
 	// starts as its own source with key −δ_y; the winner at y is the
@@ -85,7 +73,7 @@ func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*MPXResul
 	done := make([]bool, n)
 	for v := range winner {
 		winner[v] = v
-		key[v] = -res.Delta[v]
+		key[v] = -delta[v]
 	}
 	pq := make(mpxHeap, 0, n)
 	for v := 0; v < n; v++ {
@@ -102,7 +90,7 @@ func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*MPXResul
 			if done[w] {
 				continue
 			}
-			res.Messages++
+			res.Metrics.Messages++
 			nk := it.key + 1
 			if nk < key[w] || (nk == key[w] && it.center < winner[w]) {
 				key[w] = nk
@@ -123,23 +111,36 @@ func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*MPXResul
 	}
 	insertionSortInts(centers)
 	for _, c := range centers {
-		res.addCluster(byCenter[c], c, 0, 0)
+		addCluster(res, byCenter[c], c, 0, 0)
 	}
-	res.Colors = 1
-	res.PhasesUsed = 1
-	res.PhaseBudget = 1
-	res.Complete = true
-	res.Rounds = int(math.Ceil(maxDelta))
+	res.Metrics.Rounds = int(math.Ceil(slices.Max(delta)))
+	finishMPX(g, res, winner)
+	return res, nil
+}
 
+// newMPXPartition returns the empty MPX partition of an n-vertex graph:
+// complete by construction, and its one color class is not a proper
+// supergraph coloring.
+func newMPXPartition(algorithm string, n int) *partition.Partition {
+	p := newPartition(algorithm, n, partition.StrongDiameter)
+	p.ProperColors = false
+	p.Complete = true
+	return p
+}
+
+// finishMPX records the one color class and phase of the clustering that
+// assigns every vertex to the cluster of center winner[v], and its cut
+// measures.
+func finishMPX(g graph.Interface, p *partition.Partition, winner []int) {
+	p.Colors, p.PhasesUsed, p.PhaseBudget = 1, 1, 1
 	for u, w := range graph.EdgeSeq(g) {
 		if winner[u] != winner[w] {
-			res.CutEdges++
+			p.CutEdges++
 		}
 	}
 	if m := graph.EdgeCount(g); m > 0 {
-		res.CutFraction = float64(res.CutEdges) / float64(m)
+		p.CutFraction = float64(p.CutEdges) / float64(m)
 	}
-	return res, nil
 }
 
 // mpxItem is a priority-queue entry of the shifted Dijkstra.

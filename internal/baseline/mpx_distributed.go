@@ -7,7 +7,7 @@ import (
 
 	"netdecomp/internal/dist"
 	"netdecomp/internal/graph"
-	"netdecomp/internal/randx"
+	"netdecomp/internal/partition"
 )
 
 // errBeta reports an out-of-range exponential rate.
@@ -118,51 +118,32 @@ func (p *mpxProgram) Step(node, round int, in []dist.Envelope[MPXMsg]) ([]dist.E
 	return out, halt
 }
 
-// MPXDistributed computes the same Miller–Peng–Xu partition as MPX, but as
-// a true node program on the internal/dist message-passing engine, so its
-// rounds, messages and words come from real engine accounting. It must
-// agree with MPX exactly on every cluster for the same options; the tests
-// assert that.
-func MPXDistributed(g graph.Interface, o MPXOptions) (*MPXResult, error) {
-	res, _, err := MPXOnEngine(context.Background(), g, o, dist.Options{})
-	return res, err
-}
-
-// MPXOnEngine is MPXDistributed with full control over the execution: the
-// engine options select the scheduler and per-round observation, ctx
-// cancels between rounds, and the raw engine metrics are returned
-// alongside the partition.
-func MPXOnEngine(ctx context.Context, g graph.Interface, o MPXOptions, engineOpts dist.Options) (*MPXResult, dist.Metrics, error) {
+// MPXOnEngine computes the same Miller–Peng–Xu partition as MPX, but as a
+// true node program on the internal/dist message-passing engine, so its
+// Metrics are real engine accounting. It must agree with MPX exactly on
+// every cluster for the same options; the tests assert that. The engine
+// options select the scheduler and per-round observation, and ctx cancels
+// between rounds.
+func MPXOnEngine(ctx context.Context, g graph.Interface, o MPXOptions, engineOpts dist.Options) (*partition.Partition, error) {
 	if o.Beta <= 0 || o.Beta > 1 {
-		return nil, dist.Metrics{}, errBeta(o.Beta)
+		return nil, errBeta(o.Beta)
 	}
 	n := g.N()
-	res := &MPXResult{
-		Partition: Partition{N: n, ClusterOf: make([]int, n)},
-		Delta:     make([]float64, n),
-	}
-	for v := range res.ClusterOf {
-		res.ClusterOf[v] = -1
-	}
+	res := newMPXPartition("mpx/dist", n)
 	if n == 0 {
-		res.Complete = true
-		return res, dist.Metrics{}, nil
-	}
-	for v := 0; v < n; v++ {
-		rng := randx.Derive(o.Seed, uint64(v))
-		res.Delta[v] = randx.Exp(rng, o.Beta)
+		return res, nil
 	}
 
-	p := newMPXProgram(g, res.Delta)
+	p := newMPXProgram(g, shifts(o, n))
 	if engineOpts.MaxRounds == 0 {
 		engineOpts.MaxRounds = p.lastRound + 2
 	}
 	metrics, err := dist.Run[MPXMsg](ctx, p, engineOpts)
 	if err != nil {
 		if ctx != nil && ctx.Err() != nil {
-			return nil, metrics, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return nil, metrics, fmt.Errorf("baseline: MPX engine execution failed: %w", err)
+		return nil, fmt.Errorf("baseline: MPX engine execution failed: %w", err)
 	}
 
 	// Group vertices into clusters by elected center with one counting
@@ -187,23 +168,10 @@ func MPXOnEngine(ctx context.Context, g graph.Interface, o MPXOptions, engineOpt
 	}
 	for c := 0; c < n; c++ {
 		if lo, hi := offsets[c], offsets[c+1]; lo < hi {
-			res.addCluster(members[lo:hi:hi], c, 0, 0)
+			addCluster(res, members[lo:hi:hi], c, 0, 0)
 		}
 	}
-	res.Colors = 1
-	res.PhasesUsed = 1
-	res.PhaseBudget = 1
-	res.Complete = true
-	res.Rounds = metrics.Rounds
-	res.Messages = metrics.Messages
-
-	for u, w := range graph.EdgeSeq(g) {
-		if p.winner[u] != p.winner[w] {
-			res.CutEdges++
-		}
-	}
-	if m := graph.EdgeCount(g); m > 0 {
-		res.CutFraction = float64(res.CutEdges) / float64(m)
-	}
-	return res, metrics, nil
+	res.Metrics = metrics
+	finishMPX(g, res, p.winner)
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -71,7 +72,7 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Clusters, b.Clusters) || a.Rounds != b.Rounds || a.Messages != b.Messages {
+	if !reflect.DeepEqual(a.Clusters, b.Clusters) || a.Metrics.Rounds != b.Metrics.Rounds || a.Metrics.Messages != b.Metrics.Messages {
 		t.Fatal("same options produced different decompositions")
 	}
 }
@@ -113,8 +114,8 @@ func TestStrongDiameterBoundWithoutTruncation(t *testing.T) {
 		if dec.CenterViolations != 0 {
 			t.Fatalf("seed %d: %d center violations without truncation", seed, dec.CenterViolations)
 		}
-		diam, ok := dec.StrongDiameter(g)
-		if !ok {
+		diam, disconnected := dec.StrongDiameter(g)
+		if disconnected != 0 {
 			t.Fatalf("seed %d: disconnected cluster", seed)
 		}
 		if diam > 2*dec.K-2 {
@@ -232,7 +233,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunDistributed(g, o, dist.Options{})
+			got, err := RunDistributed(context.Background(), g, o, dist.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,9 +243,9 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 			if want.Complete != got.Complete || want.Colors != got.Colors {
 				t.Fatalf("graph %d seed %d: summary differs: %v vs %v", gi, seed, want, got)
 			}
-			if want.Messages != got.Messages || want.MsgWords != got.MsgWords {
+			if want.Metrics.Messages != got.Metrics.Messages || want.Metrics.Words != got.Metrics.Words {
 				t.Fatalf("graph %d seed %d: message counts differ: %d/%d vs %d/%d",
-					gi, seed, want.Messages, want.MsgWords, got.Messages, got.MsgWords)
+					gi, seed, want.Metrics.Messages, want.Metrics.Words, got.Metrics.Messages, got.Metrics.Words)
 			}
 			if !reflect.DeepEqual(want.AlivePerPhase, got.AlivePerPhase) {
 				t.Fatalf("graph %d seed %d: alive-per-phase differs: %v vs %v", gi, seed, want.AlivePerPhase, got.AlivePerPhase)
@@ -256,28 +257,28 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 func TestDistributedParallelSchedulerEquivalent(t *testing.T) {
 	g := gen.GnpConnected(randx.New(8), 300, 0.01)
 	o := Options{K: 4, C: 8, Seed: 17}
-	seq, err := RunDistributed(g, o, dist.Options{})
+	seq, err := RunDistributed(context.Background(), g, o, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunDistributed(g, o, dist.Options{Parallel: true, Workers: 8})
+	par, err := RunDistributed(context.Background(), g, o, dist.Options{Parallel: true, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(seq.Clusters, par.Clusters) || seq.Messages != par.Messages || seq.Rounds != par.Rounds {
+	if !reflect.DeepEqual(seq.Clusters, par.Clusters) || seq.Metrics.Messages != par.Metrics.Messages || seq.Metrics.Rounds != par.Metrics.Rounds {
 		t.Fatal("parallel scheduler changed the execution")
 	}
 }
 
 func TestCongestMessageSize(t *testing.T) {
 	g := gen.GnpConnected(randx.New(9), 200, 0.02)
-	dec, err := RunDistributed(g, Options{K: 4, C: 8, Seed: 1}, dist.Options{})
+	dec, err := RunDistributed(context.Background(), g, Options{K: 4, C: 8, Seed: 1}, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Top-two entries of two words each: at most 4 words per message.
-	if dec.MaxMsgWords > 4 {
-		t.Fatalf("max message size %d words; CONGEST bound is 4", dec.MaxMsgWords)
+	if dec.Metrics.MaxMessageWords > 4 {
+		t.Fatalf("max message size %d words; CONGEST bound is 4", dec.Metrics.MaxMessageWords)
 	}
 }
 
@@ -438,10 +439,10 @@ func TestDefaultsApplied(t *testing.T) {
 
 func TestRunDistributedRejectsUnsupportedModes(t *testing.T) {
 	g := gen.Path(8)
-	if _, err := RunDistributed(g, Options{K: 2, C: 8, RadiusMode: RadiusExact}, dist.Options{}); err == nil {
+	if _, err := RunDistributed(context.Background(), g, Options{K: 2, C: 8, RadiusMode: RadiusExact}, dist.Options{}); err == nil {
 		t.Fatal("RadiusExact accepted by RunDistributed")
 	}
-	if _, err := RunDistributed(g, Options{K: 2, C: 8, CaptureTrace: true}, dist.Options{}); err == nil {
+	if _, err := RunDistributed(context.Background(), g, Options{K: 2, C: 8, CaptureTrace: true}, dist.Options{}); err == nil {
 		t.Fatal("CaptureTrace accepted by RunDistributed")
 	}
 }

@@ -1,63 +1,30 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 )
 
-// Cluster is one cluster of a network decomposition: a connected component
-// of one phase's block W_t.
-type Cluster struct {
-	// Members are the vertex ids of the cluster, sorted ascending.
-	Members []int
-	// Center is the broadcast center the members chose. Under Claim 3 of
-	// the paper every member of a connected block component chooses the
-	// same center; see Decomposition.CenterViolations for the rare
-	// truncation-induced exceptions in RadiusCap mode.
-	Center int
-	// Phase is the 0-based phase that carved this cluster.
-	Phase int
-	// Color is the compressed color class: the index of the cluster's
-	// phase among phases that produced at least one cluster. Clusters of
-	// equal color are pairwise non-adjacent.
-	Color int
-}
-
-// Decomposition is the output of a decomposition run, together with the
-// cost metrics of the distributed execution that produced it.
+// Decomposition is the output of a decomposition run: the partition every
+// consumer reads — clusters (connected components of one phase's block
+// W_t), their colors, and the CONGEST cost metrics of the execution that
+// produced it — plus the Elkin–Neiman diagnostics the experiments and the
+// repair path read. The registry returns &dec.Partition.
+//
+// Cluster colors are compressed: a cluster's color is the index of its
+// phase among the phases that produced at least one cluster, so clusters
+// of equal color are pairwise non-adjacent. PhaseBudget is the theorem's
+// allowance and PhasesUsed counts executed phases, including ones that
+// carved nothing. Complete reports whether every vertex was clustered
+// within the budget; the theorems guarantee this with probability
+// ≥ 1−3/c (respectively 1−5/c).
 type Decomposition struct {
-	// N is the number of vertices of the input graph.
-	N int
+	partition.Partition
 	// Opts echoes the effective options after defaulting.
 	Opts Options
 	// K is the effective radius parameter (derived from Lambda for
 	// Theorem 3); the strong-diameter target is 2K−2.
 	K int
-	// Clusters lists the clusters in order of creation.
-	Clusters []Cluster
-	// ClusterOf maps each vertex to its index in Clusters, or -1 when the
-	// run ended with the vertex unassigned (only possible when Complete is
-	// false).
-	ClusterOf []int
-	// Colors is the number of color classes used (non-empty blocks).
-	Colors int
-	// PhasesUsed counts executed phases (including ones that carved
-	// nothing); PhaseBudget is the theorem's allowance.
-	PhasesUsed  int
-	PhaseBudget int
-	// Rounds is the number of synchronous communication rounds consumed.
-	Rounds int
-	// Messages / MsgWords / MaxMsgWords account CONGEST traffic: total
-	// messages, total words, and the largest single message in words.
-	Messages    int64
-	MsgWords    int64
-	MaxMsgWords int
-	// Complete reports whether every vertex was clustered within the
-	// budget. The theorems guarantee this with probability ≥ 1−3/c
-	// (respectively 1−5/c).
-	Complete bool
 	// TruncationEvents counts radius draws with r_v ≥ k+1 among surviving
 	// vertices — the events E_v of Lemma 1, which occur with total
 	// probability ≤ 2/c.
@@ -87,137 +54,27 @@ type Trace struct {
 	Beta []float64
 }
 
-// ColorOf returns the color class of vertex v, or -1 if v is unassigned.
-func (d *Decomposition) ColorOf(v int) int {
-	ci := d.ClusterOf[v]
-	if ci < 0 {
-		return -1
+// newDecomposition returns the empty decomposition of an n-vertex graph
+// under resolved options o and schedule s: every vertex unassigned, no
+// cluster carved, the partition labelled as the Elkin–Neiman variant's
+// strong-diameter, properly colored output.
+func newDecomposition(n int, o Options, s schedule) *Decomposition {
+	dec := &Decomposition{
+		Partition: partition.Partition{
+			Algorithm:    "elkin-neiman/" + o.Variant.String(),
+			N:            n,
+			ClusterOf:    make([]int, n),
+			PhaseBudget:  s.budget,
+			Mode:         partition.StrongDiameter,
+			ProperColors: true,
+		},
+		Opts: o,
+		K:    s.k,
 	}
-	return d.Clusters[ci].Color
-}
-
-// CenterOf returns the cluster center of vertex v, or -1 if unassigned.
-func (d *Decomposition) CenterOf(v int) int {
-	ci := d.ClusterOf[v]
-	if ci < 0 {
-		return -1
+	for v := range dec.ClusterOf {
+		dec.ClusterOf[v] = -1
 	}
-	return d.Clusters[ci].Center
-}
-
-// Unassigned returns the vertices that were never clustered, sorted.
-func (d *Decomposition) Unassigned() []int {
-	var out []int
-	for v, ci := range d.ClusterOf {
-		if ci < 0 {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// MaxClusterSize returns the size of the largest cluster (0 if none).
-func (d *Decomposition) MaxClusterSize() int {
-	max := 0
-	for i := range d.Clusters {
-		if len(d.Clusters[i].Members) > max {
-			max = len(d.Clusters[i].Members)
-		}
-	}
-	return max
-}
-
-// SizeSummary describes the cluster-size distribution of a decomposition.
-type SizeSummary struct {
-	Clusters   int
-	Singletons int
-	Mean       float64
-	Median     int
-	Max        int
-}
-
-// Sizes returns the cluster-size distribution summary.
-func (d *Decomposition) Sizes() SizeSummary {
-	s := SizeSummary{Clusters: len(d.Clusters)}
-	if s.Clusters == 0 {
-		return s
-	}
-	sizes := make([]int, 0, s.Clusters)
-	total := 0
-	for i := range d.Clusters {
-		sz := len(d.Clusters[i].Members)
-		sizes = append(sizes, sz)
-		total += sz
-		if sz == 1 {
-			s.Singletons++
-		}
-		if sz > s.Max {
-			s.Max = sz
-		}
-	}
-	sort.Ints(sizes)
-	s.Median = sizes[len(sizes)/2]
-	s.Mean = float64(total) / float64(s.Clusters)
-	return s
-}
-
-// StrongDiameter computes the maximum strong diameter over all clusters
-// against the given graph. It returns ok=false if any cluster is
-// disconnected in its induced subgraph (infinite strong diameter), which
-// cannot happen for decompositions produced by this package.
-func (d *Decomposition) StrongDiameter(g graph.Interface) (int, bool) {
-	max := 0
-	for i := range d.Clusters {
-		diam, ok := graph.SubsetStrongDiameter(g, d.Clusters[i].Members)
-		if !ok {
-			return 0, false
-		}
-		if diam > max {
-			max = diam
-		}
-	}
-	return max, true
-}
-
-// WeakDiameter computes the maximum weak diameter over all clusters.
-func (d *Decomposition) WeakDiameter(g graph.Interface) (int, bool) {
-	max := 0
-	for i := range d.Clusters {
-		diam, ok := graph.SubsetWeakDiameter(g, d.Clusters[i].Members)
-		if !ok {
-			return 0, false
-		}
-		if diam > max {
-			max = diam
-		}
-	}
-	return max, true
-}
-
-// Supergraph returns the cluster supergraph G(P): one vertex per cluster,
-// an edge between two clusters when some original edge joins them.
-// Unassigned vertices are ignored.
-func (d *Decomposition) Supergraph(g graph.Interface) *graph.Graph {
-	b := graph.NewBuilder(len(d.Clusters))
-	for u := 0; u < g.N(); u++ {
-		cu := d.ClusterOf[u]
-		if cu < 0 {
-			continue
-		}
-		for _, w := range g.Neighbors(u) {
-			cw := d.ClusterOf[w]
-			if cw >= 0 && cu < cw {
-				b.AddEdge(cu, cw)
-			}
-		}
-	}
-	return b.Build()
-}
-
-// String summarizes the decomposition.
-func (d *Decomposition) String() string {
-	return fmt.Sprintf("decomposition{n=%d clusters=%d colors=%d phases=%d/%d rounds=%d complete=%v}",
-		d.N, len(d.Clusters), d.Colors, d.PhasesUsed, d.PhaseBudget, d.Rounds, d.Complete)
+	return dec
 }
 
 // buildClusters turns one phase's block into clusters (connected components
@@ -238,7 +95,7 @@ func (d *Decomposition) buildClusters(g graph.Interface, joined []int, centers [
 			d.CenterViolations++
 		}
 		ci := len(d.Clusters)
-		d.Clusters = append(d.Clusters, Cluster{
+		d.Clusters = append(d.Clusters, partition.Cluster{
 			Members: members,
 			Center:  center,
 			Phase:   phase,
@@ -249,12 +106,4 @@ func (d *Decomposition) buildClusters(g graph.Interface, joined []int, centers [
 		}
 	}
 	return len(comps)
-}
-
-// sortedCopy returns a sorted copy of xs.
-func sortedCopy(xs []int) []int {
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
-	return out
 }

@@ -242,36 +242,30 @@ func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Envelop
 
 // RunDistributed executes the decomposition as a true message-passing
 // program on the internal/dist engine (sequential or goroutine-parallel
-// per engineOpts) and assembles the resulting Decomposition.
+// per engineOpts) and assembles the resulting Decomposition, whose Metrics
+// are the raw engine metrics (including per-round statistics when
+// engineOpts.RecordRounds is set). Cancellation via ctx stops the engine
+// at the next round barrier and returns ctx.Err(); per-round observation
+// is available through engineOpts.Observer.
 //
 // For equal Options (including Seed) it produces exactly the same clusters
 // as Run; the integration tests assert this. RadiusExact is not supported
 // here because a node cannot locally know the global maximum radius; use
 // Run for that mode.
-func RunDistributed(g graph.Interface, o Options, engineOpts dist.Options) (*Decomposition, error) {
-	dec, _, err := RunDistributedWithMetrics(context.Background(), g, o, engineOpts)
-	return dec, err
-}
-
-// RunDistributedWithMetrics is RunDistributed exposing the raw engine
-// metrics as well (including per-round statistics when
-// engineOpts.RecordRounds is set). Cancellation via ctx stops the engine
-// at the next round barrier and returns ctx.Err(); per-round observation
-// is available through engineOpts.Observer.
-func RunDistributedWithMetrics(ctx context.Context, g graph.Interface, o Options, engineOpts dist.Options) (*Decomposition, dist.Metrics, error) {
+func RunDistributed(ctx context.Context, g graph.Interface, o Options, engineOpts dist.Options) (*Decomposition, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n := g.N()
 	o2, sched, err := resolve(n, o)
 	if err != nil {
-		return nil, dist.Metrics{}, err
+		return nil, err
 	}
 	if o2.RadiusMode == RadiusExact {
-		return nil, dist.Metrics{}, fmt.Errorf("core: RadiusExact requires global knowledge and is not implementable as a node program; use Run")
+		return nil, fmt.Errorf("core: RadiusExact requires global knowledge and is not implementable as a node program; use Run")
 	}
 	if o2.CaptureTrace {
-		return nil, dist.Metrics{}, fmt.Errorf("core: CaptureTrace is only supported by Run")
+		return nil, fmt.Errorf("core: CaptureTrace is only supported by Run")
 	}
 	p := newProgram(g, o2, sched)
 	if engineOpts.MaxRounds == 0 {
@@ -280,25 +274,13 @@ func RunDistributedWithMetrics(ctx context.Context, g graph.Interface, o Options
 	metrics, err := dist.Run[Msg](ctx, p, engineOpts)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, metrics, ctx.Err()
+			return nil, ctx.Err()
 		}
-		return nil, metrics, fmt.Errorf("core: distributed execution failed: %w", err)
+		return nil, fmt.Errorf("core: distributed execution failed: %w", err)
 	}
 
-	dec := &Decomposition{
-		N:           n,
-		Opts:        o2,
-		K:           sched.k,
-		ClusterOf:   make([]int, n),
-		PhaseBudget: sched.budget,
-		Rounds:      metrics.Rounds,
-		Messages:    metrics.Messages,
-		MsgWords:    metrics.Words,
-		MaxMsgWords: metrics.MaxMessageWords,
-	}
-	for v := range dec.ClusterOf {
-		dec.ClusterOf[v] = -1
-	}
+	dec := newDecomposition(n, o2, sched)
+	dec.Metrics = metrics
 
 	// Group joiners by phase and rebuild clusters in phase order. A
 	// complete run executes phases up to the last join; an incomplete one
@@ -351,5 +333,5 @@ func RunDistributedWithMetrics(ctx context.Context, g graph.Interface, o Options
 	dec.AlivePerPhase = append(dec.AlivePerPhase, alive)
 	dec.Complete = unjoined == 0
 	dec.PhasesUsed = phasesExecuted
-	return dec, metrics, nil
+	return dec, nil
 }

@@ -22,7 +22,7 @@ func TestEngineSchedulerDeterminism(t *testing.T) {
 	}
 	for gi, g := range graphs {
 		o := Options{K: 4, C: 8, Seed: 42}
-		ref, err := RunDistributed(g, o, dist.Options{})
+		ref, err := RunDistributed(context.Background(), g, o, dist.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestEngineSchedulerDeterminism(t *testing.T) {
 			engines = append(engines, dist.Options{Parallel: true, Workers: w})
 		}
 		for _, e := range engines {
-			got, err := RunDistributed(g, o, e)
+			got, err := RunDistributed(context.Background(), g, o, e)
 			if err != nil {
 				t.Fatalf("graph %d engine %+v: %v", gi, e, err)
 			}

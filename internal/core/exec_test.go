@@ -28,8 +28,8 @@ func TestRunWithObserverMatchesTotals(t *testing.T) {
 		msgs += r.Messages
 		words += r.Words
 	}
-	if msgs != dec.Messages || words != dec.MsgWords {
-		t.Fatalf("observer sums %d/%d != totals %d/%d", msgs, words, dec.Messages, dec.MsgWords)
+	if msgs != dec.Metrics.Messages || words != dec.Metrics.Words {
+		t.Fatalf("observer sums %d/%d != totals %d/%d", msgs, words, dec.Metrics.Messages, dec.Metrics.Words)
 	}
 	// k broadcast rounds plus one decision round per executed phase.
 	if want := dec.PhasesUsed * (dec.K + 1); len(rounds) != want {
@@ -49,7 +49,7 @@ func TestRunWithIdenticalToRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.String() != b.String() || a.Messages != b.Messages {
+	if a.String() != b.String() || a.Metrics.Messages != b.Metrics.Messages {
 		t.Fatalf("RunWith diverged: %v vs %v", a, b)
 	}
 }
@@ -61,7 +61,7 @@ func TestRunWithCancelled(t *testing.T) {
 	if _, err := RunWith(g, Options{K: 3, C: 8, Seed: 1}, Exec{Ctx: ctx}); err != context.Canceled {
 		t.Fatalf("sequential run: err = %v, want context.Canceled", err)
 	}
-	if _, _, err := RunDistributedWithMetrics(ctx, g, Options{K: 3, C: 8, Seed: 1}, dist.Options{}); err != context.Canceled {
+	if _, err := RunDistributed(ctx, g, Options{K: 3, C: 8, Seed: 1}, dist.Options{}); err != context.Canceled {
 		t.Fatalf("engine run: err = %v, want context.Canceled", err)
 	}
 }
@@ -70,12 +70,13 @@ func TestRunDistributedObserver(t *testing.T) {
 	g := gen.Grid(8, 8)
 	var seen int
 	var msgs int64
-	_, metrics, err := RunDistributedWithMetrics(context.Background(), g, Options{K: 3, C: 8, Seed: 5}, dist.Options{
+	dec, err := RunDistributed(context.Background(), g, Options{K: 3, C: 8, Seed: 5}, dist.Options{
 		Observer: func(r dist.RoundStats) { seen++; msgs += r.Messages },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	metrics := dec.Metrics
 	if seen != metrics.Rounds {
 		t.Fatalf("observer saw %d rounds, engine reports %d", seen, metrics.Rounds)
 	}

@@ -41,8 +41,9 @@ package core
 // content-identical to Run(g, o) on the mutated graph — Clusters,
 // ClusterOf, Colors, PhasesUsed, AlivePerPhase, Complete,
 // TruncationEvents, CenterViolations all match — while the traffic metrics
-// (Rounds, Messages, MsgWords, MaxMsgWords) account the repair's own, much
-// smaller, simulation: that difference is the speedup being bought.
+// (Metrics: Rounds, Messages, Words, MaxMessageWords) account the repair's
+// own, much smaller, simulation: that difference is the speedup being
+// bought.
 
 import (
 	"errors"
@@ -51,6 +52,7 @@ import (
 	"slices"
 
 	"netdecomp/internal/graph"
+	"netdecomp/internal/partition"
 	"netdecomp/internal/randx"
 )
 
@@ -189,7 +191,7 @@ type RepairState struct {
 	// slices included — and rebuilds only components reached by membership
 	// changes or changed edges, so steady-state cluster extraction costs
 	// the damage, not the graph. nil (NewRepairState) disables adoption.
-	clusters  []Cluster
+	clusters  []partition.Cluster
 	clusterOf []int
 }
 
@@ -413,17 +415,11 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 		dirtyMask = make([]bool, len(st.clusters))
 	}
 
-	dec := &Decomposition{
-		N:           n,
-		Opts:        o2,
-		K:           sched.k,
-		ClusterOf:   make([]int, n),
-		PhaseBudget: sched.budget,
-		// The prior run's cluster count is a near-exact capacity estimate;
-		// growing this slice inside emitCluster otherwise dominates the
-		// small-batch repair floor (tens of thousands of Cluster appends).
-		Clusters: make([]Cluster, 0, len(st.clusters)+16),
-	}
+	dec := newDecomposition(n, o2, sched)
+	// The prior run's cluster count is a near-exact capacity estimate;
+	// growing this slice inside emitCluster otherwise dominates the
+	// small-batch repair floor (tens of thousands of Cluster appends).
+	dec.Clusters = make([]partition.Cluster, 0, len(st.clusters)+16)
 	if canPatch {
 		// Start from the prior run's assignment: adopted clusters whose
 		// index did not shift then skip their per-member writes entirely,
@@ -431,10 +427,6 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 		// Vertices the new run leaves unclustered are fixed up after the
 		// phase loop; every other vertex is covered by an emitCluster call.
 		copy(dec.ClusterOf, st.clusterOf)
-	} else {
-		for v := range dec.ClusterOf {
-			dec.ClusterOf[v] = -1
-		}
 	}
 	newState := &RepairState{n: n, joinPhase: make([]int32, n), center: make([]int32, n)}
 	for v := range newState.joinPhase {
@@ -475,7 +467,7 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 			dec.CenterViolations++
 		}
 		ci := len(dec.Clusters)
-		dec.Clusters = append(dec.Clusters, Cluster{
+		dec.Clusters = append(dec.Clusters, partition.Cluster{
 			Members: members,
 			Center:  center,
 			Phase:   phase,
@@ -1169,12 +1161,11 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 			}
 
 			if simulated {
-				dec.Rounds += res.rounds
-				dec.Messages += res.messages
-				dec.MsgWords += res.words
-				if res.maxMsgWords > dec.MaxMsgWords {
-					dec.MaxMsgWords = res.maxMsgWords
-				}
+				m := &dec.Metrics
+				m.Rounds += res.rounds
+				m.Messages += res.messages
+				m.Words += res.words
+				m.MaxMessageWords = max(m.MaxMessageWords, res.maxMsgWords)
 			}
 
 			// Compose the phase's join set: trusted vertices take the

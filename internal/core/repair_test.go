@@ -98,7 +98,7 @@ func less(a, b [2]int32) bool {
 // counts, truncation events — must be bit-identical.
 func strippedDec(d *Decomposition) Decomposition {
 	cp := *d
-	cp.Rounds, cp.Messages, cp.MsgWords, cp.MaxMsgWords = 0, 0, 0, 0
+	cp.Metrics.Rounds, cp.Metrics.Messages, cp.Metrics.Words, cp.Metrics.MaxMessageWords = 0, 0, 0, 0
 	cp.Trace = nil
 	return cp
 }

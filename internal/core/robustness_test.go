@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -92,11 +93,11 @@ func TestTheorem2DistributedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunDistributed(g, o, dist.Options{Parallel: true})
+	got, err := RunDistributed(context.Background(), g, o, dist.Options{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Clusters, got.Clusters) || want.Messages != got.Messages {
+	if !reflect.DeepEqual(want.Clusters, got.Clusters) || want.Metrics.Messages != got.Metrics.Messages {
 		t.Fatal("theorem2 distributed execution diverged from centralized")
 	}
 }
@@ -108,7 +109,7 @@ func TestTheorem3DistributedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunDistributed(g, o, dist.Options{})
+	got, err := RunDistributed(context.Background(), g, o, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestForceCompleteDistributedParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunDistributed(g, o, dist.Options{})
+	got, err := RunDistributed(context.Background(), g, o, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +215,8 @@ func TestRoundsAccountingTheorem1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Rounds != 5*dec.PhasesUsed {
-		t.Fatalf("rounds %d != k*phases %d", dec.Rounds, 5*dec.PhasesUsed)
+	if dec.Metrics.Rounds != 5*dec.PhasesUsed {
+		t.Fatalf("rounds %d != k*phases %d", dec.Metrics.Rounds, 5*dec.PhasesUsed)
 	}
 }
 
@@ -231,7 +232,7 @@ func TestExactModeRoundsDataDependent(t *testing.T) {
 	if !dec.Complete {
 		t.Fatal("incomplete")
 	}
-	if dec.Rounds < 0 {
+	if dec.Metrics.Rounds < 0 {
 		t.Fatal("negative rounds")
 	}
 }
@@ -246,8 +247,8 @@ func TestHeadlineShapeAcrossN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diam, ok := dec.StrongDiameter(g)
-		if !ok {
+		diam, disconnected := dec.StrongDiameter(g)
+		if disconnected != 0 {
 			t.Fatal("disconnected cluster")
 		}
 		lnN := math.Log(float64(n))
@@ -257,35 +258,5 @@ func TestHeadlineShapeAcrossN(t *testing.T) {
 		if float64(dec.Colors) > 8*lnN {
 			t.Fatalf("n=%d: colors %d >> ln n", n, dec.Colors)
 		}
-	}
-}
-
-func TestSizesSummary(t *testing.T) {
-	g := gen.GnpConnected(randx.New(70), 200, 0.015)
-	dec, err := Run(g, Options{K: 4, C: 8, Seed: 1, ForceComplete: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := dec.Sizes()
-	if s.Clusters != len(dec.Clusters) {
-		t.Fatalf("Clusters = %d, want %d", s.Clusters, len(dec.Clusters))
-	}
-	total := 0.0
-	for _, c := range dec.Clusters {
-		total += float64(len(c.Members))
-	}
-	if mean := total / float64(s.Clusters); mean != s.Mean {
-		t.Fatalf("Mean = %v, want %v", s.Mean, mean)
-	}
-	if s.Max < s.Median || s.Median < 1 {
-		t.Fatalf("ordering wrong: %+v", s)
-	}
-	// Empty decomposition summary.
-	empty, err := Run(graph.NewBuilder(0).Build(), Options{K: 2, C: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es := empty.Sizes(); es.Clusters != 0 || es.Mean != 0 {
-		t.Fatalf("empty summary wrong: %+v", es)
 	}
 }

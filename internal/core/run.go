@@ -87,16 +87,7 @@ func RunWith(g graph.Interface, o Options, x Exec) (*Decomposition, error) {
 		return nil, err
 	}
 	ctx := x.ctx()
-	dec := &Decomposition{
-		N:           n,
-		Opts:        o2,
-		K:           sched.k,
-		ClusterOf:   make([]int, n),
-		PhaseBudget: sched.budget,
-	}
-	for v := range dec.ClusterOf {
-		dec.ClusterOf[v] = -1
-	}
+	dec := newDecomposition(n, o2, sched)
 	if o2.CaptureTrace {
 		dec.Trace = &Trace{}
 	}
@@ -186,12 +177,11 @@ func RunWith(g graph.Interface, o Options, x Exec) (*Decomposition, error) {
 			x.phaseFinal(phase, aliveList, runner.state, runner.radius)
 		}
 
-		dec.Rounds += res.rounds
-		dec.Messages += res.messages
-		dec.MsgWords += res.words
-		if res.maxMsgWords > dec.MaxMsgWords {
-			dec.MaxMsgWords = res.maxMsgWords
-		}
+		m := &dec.Metrics
+		m.Rounds += res.rounds
+		m.Messages += res.messages
+		m.Words += res.words
+		m.MaxMessageWords = max(m.MaxMessageWords, res.maxMsgWords)
 		if dec.Trace != nil {
 			// The runner only maintains alive entries of radius and
 			// centers; rebuild the dense per-phase views the trace pins

@@ -68,10 +68,11 @@ func TestEngineTraceGolden(t *testing.T) {
 	}
 
 	t.Run("engine-sequential", func(t *testing.T) {
-		_, m, err := RunDistributedWithMetrics(context.Background(), g, o, dist.Options{RecordRounds: true})
+		dec, err := RunDistributed(context.Background(), g, o, dist.Options{RecordRounds: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := dec.Metrics
 		if m.MaxMessageWords != wantMaxW {
 			t.Fatalf("maxMsgWords %d, want %d", m.MaxMessageWords, wantMaxW)
 		}
@@ -79,12 +80,12 @@ func TestEngineTraceGolden(t *testing.T) {
 	})
 	t.Run("engine-parallel", func(t *testing.T) {
 		for workers := 1; workers <= 4; workers++ {
-			_, m, err := RunDistributedWithMetrics(context.Background(), g, o,
+			dec, err := RunDistributed(context.Background(), g, o,
 				dist.Options{RecordRounds: true, Parallel: true, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, "engine-parallel", m.PerRound)
+			check(t, "engine-parallel", dec.Metrics.PerRound)
 		}
 	})
 	t.Run("sim-observer", func(t *testing.T) {

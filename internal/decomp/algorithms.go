@@ -87,31 +87,28 @@ func (p *Plan) CoreOptions() (core.Options, bool) {
 	return coreOptionsFor(variant, p.cfg), true
 }
 
-// elkinNeiman adapts both core execution paths. forceEngine pins the
-// engine path regardless of cfg.Engine (the "/dist" registry name).
+// elkinNeiman runs both core execution paths. forceEngine pins the engine
+// path regardless of cfg.Engine (the "/dist" registry name).
 func elkinNeiman(variant core.Variant, forceEngine bool) func(context.Context, graph.Interface, Config) (*Partition, error) {
 	return func(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
 		o := coreOptionsFor(variant, cfg)
+		var dec *core.Decomposition
+		var err error
 		if forceEngine || cfg.Engine {
-			dec, metrics, err := core.RunDistributedWithMetrics(ctx, g, o, engineOptions(cfg))
-			if err != nil {
-				return nil, err
-			}
-			p := FromCore(dec)
-			p.Metrics = metrics
-			return p, nil
+			dec, err = core.RunDistributed(ctx, g, o, engineOptions(cfg))
+		} else {
+			dec, err = core.RunWith(g, o, core.Exec{
+				Ctx:      ctx,
+				Observer: cfg.Observer,
+				Parallel: cfg.Parallel,
+				Workers:  cfg.Workers,
+				Recorder: cfg.Recorder,
+			})
 		}
-		dec, err := core.RunWith(g, o, core.Exec{
-			Ctx:      ctx,
-			Observer: cfg.Observer,
-			Parallel: cfg.Parallel,
-			Workers:  cfg.Workers,
-			Recorder: cfg.Recorder,
-		})
 		if err != nil {
 			return nil, err
 		}
-		return FromCore(dec), nil
+		return &dec.Partition, nil
 	}
 }
 
@@ -120,36 +117,22 @@ func linialSaks(ctx context.Context, g graph.Interface, cfg Config) (*Partition,
 	if k == 0 {
 		k = defaultLogK(g.N(), 2)
 	}
-	bp, err := baseline.LinialSaksContext(ctx, g, baseline.LSOptions{
+	return baseline.LinialSaksContext(ctx, g, baseline.LSOptions{
 		K:             k,
 		C:             cfg.C,
 		Seed:          cfg.Seed,
 		PhaseBudget:   cfg.PhaseBudget,
 		ForceComplete: cfg.ForceComplete,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return FromBaseline("linial-saks", bp, WeakDiameter), nil
 }
 
 func mpxSequential(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
-	r, err := baseline.MPXContext(ctx, g, baseline.MPXOptions{Beta: defaultBeta(cfg.Beta), Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return FromMPX("mpx", r), nil
+	return baseline.MPXContext(ctx, g, baseline.MPXOptions{Beta: defaultBeta(cfg.Beta), Seed: cfg.Seed})
 }
 
 func mpxEngine(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
-	r, metrics, err := baseline.MPXOnEngine(ctx, g,
+	return baseline.MPXOnEngine(ctx, g,
 		baseline.MPXOptions{Beta: defaultBeta(cfg.Beta), Seed: cfg.Seed}, engineOptions(cfg))
-	if err != nil {
-		return nil, err
-	}
-	p := FromMPX("mpx/dist", r)
-	p.Metrics = metrics
-	return p, nil
 }
 
 func ballCarving(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
@@ -161,11 +144,7 @@ func ballCarving(ctx context.Context, g graph.Interface, cfg Config) (*Partition
 			k = int(math.Ceil(math.Log2(float64(n))))
 		}
 	}
-	bp, err := baseline.BallCarvingContext(ctx, g, baseline.BCOptions{K: k})
-	if err != nil {
-		return nil, err
-	}
-	return FromBaseline("ball-carving", bp, StrongDiameter), nil
+	return baseline.BallCarvingContext(ctx, g, baseline.BCOptions{K: k})
 }
 
 // defaultLogK is ⌈ln n⌉ clamped below by min — the headline radius

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"netdecomp/internal/baseline"
-	"netdecomp/internal/core"
 	"netdecomp/internal/decomp"
 	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
@@ -53,81 +51,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 func TestGetUnknownName(t *testing.T) {
 	if _, err := decomp.Get("no-such-algorithm"); err == nil {
 		t.Fatal("unknown name accepted")
-	}
-}
-
-// TestAdaptersMatchLegacyEntryPoints: the registry path must be
-// bit-identical to the per-algorithm entry points it replaces.
-func TestAdaptersMatchLegacyEntryPoints(t *testing.T) {
-	g := gen.GnpConnected(randx.New(5), 200, 0.025)
-	ctx := context.Background()
-
-	dec, err := core.Run(g, core.Options{K: 4, C: 8, Seed: 9, ForceComplete: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := decomp.MustGet("elkin-neiman").Decompose(ctx, g,
-		decomp.WithK(4), decomp.WithC(8), decomp.WithSeed(9), decomp.WithForceComplete())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.MemberLists(), decomp.FromCore(dec).MemberLists()) {
-		t.Fatal("elkin-neiman adapter diverges from core.Run")
-	}
-	if p.Metrics.Messages != dec.Messages || p.Metrics.Rounds != dec.Rounds {
-		t.Fatal("elkin-neiman adapter metrics diverge")
-	}
-
-	ls, err := baseline.LinialSaks(g, baseline.LSOptions{K: 4, C: 8, Seed: 9, ForceComplete: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := decomp.MustGet("linial-saks").Decompose(ctx, g,
-		decomp.WithK(4), decomp.WithC(8), decomp.WithSeed(9), decomp.WithForceComplete())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pl.MemberLists(), ls.MemberLists()) {
-		t.Fatal("linial-saks adapter diverges from baseline.LinialSaks")
-	}
-
-	mp, err := baseline.MPX(g, baseline.MPXOptions{Beta: 0.3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := decomp.MustGet("mpx").Decompose(ctx, g, decomp.WithBeta(0.3), decomp.WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pm.MemberLists(), mp.MemberLists()) {
-		t.Fatal("mpx adapter diverges from baseline.MPX")
-	}
-	if pm.CutEdges != mp.CutEdges {
-		t.Fatal("mpx adapter loses cut accounting")
-	}
-
-	// The engine-backed MPX must produce the identical partition.
-	pmd, err := decomp.MustGet("mpx/dist").Decompose(ctx, g, decomp.WithBeta(0.3), decomp.WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pmd.MemberLists(), pm.MemberLists()) {
-		t.Fatal("mpx/dist diverges from mpx")
-	}
-	if pmd.Metrics.Words == 0 || pmd.Metrics.MaxMessageWords != 2 {
-		t.Fatalf("mpx/dist engine accounting missing: %+v", pmd.Metrics)
-	}
-
-	bc, err := baseline.BallCarving(g, baseline.BCOptions{K: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := decomp.MustGet("ball-carving").Decompose(ctx, g, decomp.WithK(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pb.MemberLists(), bc.MemberLists()) {
-		t.Fatal("ball-carving adapter diverges from baseline.BallCarving")
 	}
 }
 

@@ -101,3 +101,44 @@ func TestGoldenPartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenDocuments pins the whole stable result document of every
+// registered algorithm on the golden inputs — not only the clusters that
+// partitionDigest hashes, but also the algorithm name, diameter mode,
+// ProperColors, the CONGEST metrics, the phase loop and the MPX cut
+// measures — as an FNV-1a hash of MarshalJSON's bytes.
+func TestGoldenDocuments(t *testing.T) {
+	inputs := []struct {
+		name   string
+		family gen.Family
+		n      int
+		seed   uint64
+	}{
+		{"gnp300", gen.FamilyGnp, 300, 1},
+		{"ring128", gen.FamilyRingOfCliques, 128, 2},
+		{"tree200", gen.FamilyTree, 200, 3},
+	}
+	for _, in := range inputs {
+		g, err := gen.Build(in.family, in.n, in.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range Names() {
+			p, err := MustGet(algo).Decompose(context.Background(), g,
+				WithSeed(7), WithForceComplete())
+			if err != nil {
+				t.Fatalf("%s on %s: %v", algo, in.name, err)
+			}
+			doc, err := p.MarshalJSON()
+			if err != nil {
+				t.Fatalf("%s on %s: marshal: %v", algo, in.name, err)
+			}
+			h := fnv.New64a()
+			h.Write(doc)
+			key := fmt.Sprintf("%s/%s", algo, in.name)
+			if got, want := h.Sum64(), goldenDocumentDigests[key]; got != want {
+				t.Errorf("%q: %#016x, // document digest mismatch, want %#016x", key, got, want)
+			}
+		}
+	}
+}

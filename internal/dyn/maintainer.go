@@ -108,7 +108,7 @@ func (m *Maintainer) bootstrap(ctx context.Context, g graph.Interface) error {
 			return err
 		}
 		m.st = st
-		m.part = decomp.FromCore(dec)
+		m.part = &dec.Partition
 	} else {
 		part, err := m.pl.Run(ctx, g)
 		if err != nil {
@@ -166,7 +166,7 @@ func (m *Maintainer) Update(ctx context.Context, g graph.Interface, effective []
 	if err != nil {
 		return nil, rep, err
 	}
-	m.g, m.st, m.part = g, st, decomp.FromCore(dec)
+	m.g, m.st, m.part = g, st, &dec.Partition
 
 	rep.Repaired = !stats.FellBack
 	rep.FellBack = stats.FellBack

@@ -181,18 +181,16 @@ func T10CongestAccounting(cfg Config) (*Table, error) {
 		var rounds, msgs, words []float64
 		maxWords := 0
 		for i := 0; i < trials; i++ {
-			dec, _, err := core.RunDistributedWithMetrics(context.Background(), g,
+			dec, err := core.RunDistributed(context.Background(), g,
 				core.Options{K: k, C: 8, Seed: cfg.Seed + uint64(i)*911},
 				dist.Options{Parallel: true, Recorder: rr})
 			if err != nil {
 				return nil, err
 			}
-			rounds = append(rounds, float64(dec.Rounds))
-			msgs = append(msgs, float64(dec.Messages))
-			words = append(words, float64(dec.MsgWords))
-			if dec.MaxMsgWords > maxWords {
-				maxWords = dec.MaxMsgWords
-			}
+			rounds = append(rounds, float64(dec.Metrics.Rounds))
+			msgs = append(msgs, float64(dec.Metrics.Messages))
+			words = append(words, float64(dec.Metrics.Words))
+			maxWords = max(maxWords, dec.Metrics.MaxMessageWords)
 		}
 		roundMsgs := reg.Histogram("engine.round.messages").Snapshot()
 		roundActive := reg.Histogram("engine.round.active").Snapshot()

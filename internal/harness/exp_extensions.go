@@ -7,7 +7,6 @@ import (
 	"netdecomp/internal/baseline"
 	"netdecomp/internal/core"
 	"netdecomp/internal/cover"
-	"netdecomp/internal/decomp"
 	"netdecomp/internal/gen"
 	"netdecomp/internal/spanner"
 	"netdecomp/internal/stats"
@@ -135,7 +134,7 @@ func T12Spanners(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			sp, err := spanner.Build(g, decomp.FromCore(dec))
+			sp, err := spanner.Build(g, &dec.Partition)
 			if err != nil {
 				return nil, err
 			}
@@ -187,13 +186,13 @@ func T13SequentialYardstick(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			d, ok := dec.StrongDiameter(g)
-			if !ok {
+			d, disconnected := dec.StrongDiameter(g)
+			if disconnected != 0 {
 				return nil, fmt.Errorf("harness: EN cluster disconnected")
 			}
 			enD = append(enD, float64(d))
 			enC = append(enC, float64(dec.Colors))
-			enR = append(enR, float64(dec.Rounds))
+			enR = append(enR, float64(dec.Metrics.Rounds))
 		}
 		bc, err := baseline.BallCarving(g, baseline.BCOptions{K: k})
 		if err != nil {

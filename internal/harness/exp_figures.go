@@ -76,12 +76,12 @@ func F3RoundsScaling(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			en = append(en, float64(dec.Rounds))
+			en = append(en, float64(dec.Metrics.Rounds))
 			lsp, err := baseline.LinialSaks(g, baseline.LSOptions{K: k, C: 8, Seed: seed, ForceComplete: true})
 			if err != nil {
 				return nil, err
 			}
-			ls = append(ls, float64(lsp.Rounds))
+			ls = append(ls, float64(lsp.Metrics.Rounds))
 		}
 		lnN := math.Log(float64(n))
 		es, lss := stats.Summarize(en), stats.Summarize(ls)

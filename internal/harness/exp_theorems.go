@@ -31,12 +31,12 @@ func runEN(g graph.Interface, o core.Options) (enTrial, error) {
 		complete:    dec.Complete,
 		truncations: dec.TruncationEvents,
 		colors:      dec.Colors,
-		rounds:      dec.Rounds,
+		rounds:      dec.Metrics.Rounds,
 		phases:      dec.PhasesUsed,
-		messages:    dec.Messages,
+		messages:    dec.Metrics.Messages,
 	}
-	diam, ok := dec.StrongDiameter(g)
-	if !ok {
+	diam, disconnected := dec.StrongDiameter(g)
+	if disconnected != 0 {
 		return tr, fmt.Errorf("harness: decomposition produced a disconnected cluster")
 	}
 	tr.strongDiam = diam

@@ -1,4 +1,4 @@
-package decomp
+package partition
 
 import (
 	"errors"
@@ -52,7 +52,7 @@ type Frozen struct {
 // color outside the int32 range is an error — values are never truncated.
 func (p *Partition) Freeze() (*Frozen, error) {
 	if p == nil {
-		return nil, errors.New("decomp: freezing a nil partition")
+		return nil, errors.New("partition: freezing a nil partition")
 	}
 	k := len(p.Clusters)
 	total := 0
@@ -60,7 +60,7 @@ func (p *Partition) Freeze() (*Frozen, error) {
 		total += len(p.Clusters[i].Members)
 	}
 	if total > math.MaxInt32 || k > math.MaxInt32 {
-		return nil, fmt.Errorf("decomp: freezing partition: %d clusters of %d members overflow int32", k, total)
+		return nil, fmt.Errorf("partition: freezing partition: %d clusters of %d members overflow int32", k, total)
 	}
 	f := &Frozen{
 		algorithm:    p.Algorithm,
@@ -99,13 +99,13 @@ func (p *Partition) Freeze() (*Frozen, error) {
 		f.offsets[i] = int32(pos)
 		for _, v := range c.Members {
 			if !fitsInt32(v) {
-				return nil, fmt.Errorf("decomp: freezing partition: cluster %d member %d is outside int32", i, v)
+				return nil, fmt.Errorf("partition: freezing partition: cluster %d member %d is outside int32", i, v)
 			}
 			f.members[pos] = int32(v)
 			pos++
 		}
 		if !fitsInt32(c.Center) || !fitsInt32(c.Phase) || !fitsInt32(c.Color) {
-			return nil, fmt.Errorf("decomp: freezing partition: cluster %d center, phase or color (%d, %d, %d) is outside int32",
+			return nil, fmt.Errorf("partition: freezing partition: cluster %d center, phase or color (%d, %d, %d) is outside int32",
 				i, c.Center, c.Phase, c.Color)
 		}
 		f.center[i], f.phase[i], f.color[i] = int32(c.Center), int32(c.Phase), int32(c.Color)
@@ -114,7 +114,7 @@ func (p *Partition) Freeze() (*Frozen, error) {
 	for v := range f.clusterOf {
 		ci := p.ClusterOf[v]
 		if !fitsInt32(ci) {
-			return nil, fmt.Errorf("decomp: freezing partition: clusterOf[%d] = %d is outside int32", v, ci)
+			return nil, fmt.Errorf("partition: freezing partition: clusterOf[%d] = %d is outside int32", v, ci)
 		}
 		f.clusterOf[v] = int32(ci)
 	}

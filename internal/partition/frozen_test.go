@@ -1,4 +1,4 @@
-package decomp
+package partition_test
 
 import (
 	"context"
@@ -10,23 +10,25 @@ import (
 	"strings"
 	"testing"
 
+	"netdecomp/internal/decomp"
 	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
+	"netdecomp/internal/partition"
 )
 
 // randomPartition builds an arbitrary (not necessarily valid) partition:
 // empty clusters, unassigned vertices, negative centers, per-round
 // metrics and a nil or empty ClusterOf all occur.
-func randomPartition(r *rand.Rand) *Partition {
+func randomPartition(r *rand.Rand) *partition.Partition {
 	n := r.Intn(40)
-	p := &Partition{
+	p := &partition.Partition{
 		Algorithm:    []string{"elkin-neiman", "mpx", "x<&>\x01"}[r.Intn(3)],
 		N:            n,
 		Colors:       r.Intn(9),
 		PhasesUsed:   r.Intn(5),
 		PhaseBudget:  r.Intn(7),
 		Complete:     r.Intn(2) == 0,
-		Mode:         DiameterMode(1 + r.Intn(2)),
+		Mode:         partition.DiameterMode(1 + r.Intn(2)),
 		ProperColors: r.Intn(2) == 0,
 		CutEdges:     r.Intn(100),
 		CutFraction:  r.Float64(),
@@ -49,7 +51,7 @@ func randomPartition(r *rand.Rand) *Partition {
 		}
 	}
 	if r.Intn(4) > 0 {
-		p.Clusters = make([]Cluster, r.Intn(6))
+		p.Clusters = make([]partition.Cluster, r.Intn(6))
 	}
 	for i := range p.Clusters {
 		c := &p.Clusters[i]
@@ -71,24 +73,24 @@ func randomPartition(r *rand.Rand) *Partition {
 // every registered algorithm's real output — and the copy is independent
 // of the frozen form.
 func TestFreezeMaterializesLikeClone(t *testing.T) {
-	var ps []*Partition
+	var ps []*partition.Partition
 	r := rand.New(rand.NewSource(1))
 	for range 500 {
 		ps = append(ps, randomPartition(r))
 	}
-	ps = append(ps, &Partition{Algorithm: "empty"}, &Partition{Algorithm: "empty", Clusters: []Cluster{}, ClusterOf: []int{}})
+	ps = append(ps, &partition.Partition{Algorithm: "empty"}, &partition.Partition{Algorithm: "empty", Clusters: []partition.Cluster{}, ClusterOf: []int{}})
 	g, err := gen.Build(gen.FamilyGnp, 120, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range Names() {
-		for _, opts := range [][]Option{{WithForceComplete()}, {WithPhaseBudget(1)}} {
-			p, err := MustGet(name).Decompose(context.Background(), g, append(opts, WithSeed(5))...)
+	for _, name := range decomp.Names() {
+		for _, opts := range [][]decomp.Option{{decomp.WithForceComplete()}, {decomp.WithPhaseBudget(1)}} {
+			p, err := decomp.MustGet(name).Decompose(context.Background(), g, append(opts, decomp.WithSeed(5))...)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			// Real outputs keep no assignment column: their members imply it.
-			if f, err := p.Freeze(); err != nil || f.clusterOf != nil {
+			if f, err := p.Freeze(); err != nil || partition.KeepsAssignment(f) {
 				t.Fatalf("%s: Freeze kept an explicit clusterOf (err %v)", name, err)
 			}
 			ps = append(ps, p)
@@ -127,18 +129,18 @@ func TestFreezeMaterializesLikeClone(t *testing.T) {
 // TestFreezeRejectsOutOfInt32: a value that does not fit the int32
 // columns is an error naming it — never silently truncated.
 func TestFreezeRejectsOutOfInt32(t *testing.T) {
-	base := func() *Partition {
-		return &Partition{N: 2, ClusterOf: []int{0, 0}, Clusters: []Cluster{{Members: []int{0, 1}}}}
+	base := func() *partition.Partition {
+		return &partition.Partition{N: 2, ClusterOf: []int{0, 0}, Clusters: []partition.Cluster{{Members: []int{0, 1}}}}
 	}
 	for _, tc := range []struct {
 		what   string
-		mutate func(p *Partition)
+		mutate func(p *partition.Partition)
 	}{
-		{"member", func(p *Partition) { p.Clusters[0].Members[1] = math.MaxInt32 + 1 }},
-		{"clusterOf", func(p *Partition) { p.ClusterOf[1] = math.MinInt32 - 1 }},
-		{"center", func(p *Partition) { p.Clusters[0].Center = 1 << 40 }},
-		{"phase", func(p *Partition) { p.Clusters[0].Phase = -(1 << 33) }},
-		{"color", func(p *Partition) { p.Clusters[0].Color = math.MaxInt32 + 5 }},
+		{"member", func(p *partition.Partition) { p.Clusters[0].Members[1] = math.MaxInt32 + 1 }},
+		{"clusterOf", func(p *partition.Partition) { p.ClusterOf[1] = math.MinInt32 - 1 }},
+		{"center", func(p *partition.Partition) { p.Clusters[0].Center = 1 << 40 }},
+		{"phase", func(p *partition.Partition) { p.Clusters[0].Phase = -(1 << 33) }},
+		{"color", func(p *partition.Partition) { p.Clusters[0].Color = math.MaxInt32 + 5 }},
 	} {
 		p := base()
 		tc.mutate(p)
@@ -152,7 +154,7 @@ func TestFreezeRejectsOutOfInt32(t *testing.T) {
 	if _, err := base().Freeze(); err != nil {
 		t.Fatalf("in-range partition rejected: %v", err)
 	}
-	var nilP *Partition
+	var nilP *partition.Partition
 	if _, err := nilP.Freeze(); err == nil {
 		t.Error("freezing a nil partition succeeded")
 	}
@@ -165,7 +167,7 @@ func TestFreezeRejectsOutOfInt32(t *testing.T) {
 func TestPartitionJSONQuotesLikeEncodingJSON(t *testing.T) {
 	names := []string{"a\x01", "<&>", "line\u2028sep\u2029", "lone\xffbyte", "q\"b\\s\b\f\n\r\t\x7f", "plain"}
 	for _, name := range names {
-		p := &Partition{Algorithm: name, N: 1, ClusterOf: []int{0}, Clusters: []Cluster{{Members: []int{0}}}, Mode: StrongDiameter}
+		p := &partition.Partition{Algorithm: name, N: 1, ClusterOf: []int{0}, Clusters: []partition.Cluster{{Members: []int{0}}}, Mode: partition.StrongDiameter}
 		mine, err := p.MarshalJSON()
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)
@@ -178,10 +180,10 @@ func TestPartitionJSONQuotesLikeEncodingJSON(t *testing.T) {
 			t.Fatalf("%q: MarshalJSON %s != json.Marshal %s", name, mine, viaJSON)
 		}
 		quoted, _ := json.Marshal(name)
-		if got := AppendJSONString(nil, name); string(got) != string(quoted) {
+		if got := partition.AppendJSONString(nil, name); string(got) != string(quoted) {
 			t.Fatalf("%q: AppendJSONString %s != json.Marshal %s", name, got, quoted)
 		}
-		var back Partition
+		var back partition.Partition
 		if err := json.Unmarshal(mine, &back); err != nil {
 			t.Fatalf("%q: document does not decode: %v", name, err)
 		}
@@ -196,7 +198,7 @@ func TestPartitionJSONQuotesLikeEncodingJSON(t *testing.T) {
 // TestClusterJSONDelegates: a cluster marshals alone to exactly the bytes
 // it occupies inside its partition's document.
 func TestClusterJSONDelegates(t *testing.T) {
-	p := &Partition{N: 3, ClusterOf: []int{0, 1, 1}, Clusters: []Cluster{
+	p := &partition.Partition{N: 3, ClusterOf: []int{0, 1, 1}, Clusters: []partition.Cluster{
 		{Members: []int{0}, Center: 0, Phase: 1, Color: 2},
 		{Members: []int{1, 2}, Center: 2, Phase: 3, Color: 4},
 	}}

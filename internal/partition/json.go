@@ -1,4 +1,4 @@
-package decomp
+package partition
 
 // Stable JSON marshalling for the API surface. encoding/json on a struct
 // is already order-stable, but hand-rolling the encoder here makes the
@@ -34,7 +34,7 @@ func (m DiameterMode) MarshalJSON() ([]byte, error) {
 func (m *DiameterMode) UnmarshalJSON(data []byte) error {
 	s, err := strconv.Unquote(string(data))
 	if err != nil {
-		return fmt.Errorf("decomp: diameter mode %s: %w", data, err)
+		return fmt.Errorf("partition: diameter mode %s: %w", data, err)
 	}
 	switch s {
 	case "strong":
@@ -42,7 +42,7 @@ func (m *DiameterMode) UnmarshalJSON(data []byte) error {
 	case "weak":
 		*m = WeakDiameter
 	default:
-		return fmt.Errorf("decomp: unknown diameter mode %q", s)
+		return fmt.Errorf("partition: unknown diameter mode %q", s)
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
-package decomp
+package partition_test
 
 import (
 	"context"
 	"encoding/json"
 	"testing"
 
+	"netdecomp/internal/decomp"
 	"netdecomp/internal/gen"
+	"netdecomp/internal/partition"
 	"netdecomp/internal/randx"
 )
 
@@ -13,16 +15,16 @@ import (
 // marshals to — field order and float rendering are a frozen API contract
 // (the serving daemon's responses diff cleanly across builds).
 func TestPartitionJSONStable(t *testing.T) {
-	p := &Partition{
+	p := &partition.Partition{
 		Algorithm:    "mpx",
 		N:            4,
-		Clusters:     []Cluster{{Members: []int{0, 1}, Center: 0, Phase: 0, Color: 0}, {Members: []int{2, 3}, Center: 3, Phase: 1, Color: 0}},
+		Clusters:     []partition.Cluster{{Members: []int{0, 1}, Center: 0, Phase: 0, Color: 0}, {Members: []int{2, 3}, Center: 3, Phase: 1, Color: 0}},
 		ClusterOf:    []int{0, 0, 1, 1},
 		Colors:       1,
 		PhasesUsed:   2,
 		PhaseBudget:  3,
 		Complete:     true,
-		Mode:         StrongDiameter,
+		Mode:         partition.StrongDiameter,
 		ProperColors: false,
 		CutEdges:     1,
 		CutFraction:  0.2,
@@ -57,15 +59,15 @@ func TestPartitionJSONStable(t *testing.T) {
 // to identical bytes every time, and float fields never drift.
 func TestPartitionJSONDeterministic(t *testing.T) {
 	g := gen.Gnp(randx.New(3), 128, 0.06)
-	d, err := Get("mpx")
+	d, err := decomp.Get("mpx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := d.Decompose(context.Background(), g, WithSeed(9))
+	p1, err := d.Decompose(context.Background(), g, decomp.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := d.Decompose(context.Background(), g, WithSeed(9))
+	p2, err := d.Decompose(context.Background(), g, decomp.WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}

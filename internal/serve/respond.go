@@ -3,7 +3,7 @@ package serve
 // The decompose response writer. Every /v1/decompose answer — the warm
 // hit, the cold miss, and the result event of /v1/decompose/stream — is
 // one DecomposeResponse document built by appending the envelope fields
-// and the cached decomp.Frozen's own encoding into a pooled buffer. The
+// and the cached partition.Frozen's own encoding into a pooled buffer. The
 // bytes equal encoding/json's rendering of the equivalent
 // DecomposeResponse (the oracle test pins that for every registered
 // algorithm), but no reflection, no re-validation of the partition
@@ -14,7 +14,7 @@ import (
 	"strconv"
 	"sync"
 
-	"netdecomp/internal/decomp"
+	"netdecomp/internal/partition"
 )
 
 // decomposeDoc is one decompose response: the DecomposeResponse fields
@@ -26,7 +26,7 @@ type decomposeDoc struct {
 	cacheHit      bool
 	latencyNs     int64
 	droppedRounds int64
-	partition     *decomp.Frozen
+	partition     *partition.Frozen
 }
 
 // appendJSON appends the document in DecomposeResponse's field order,
@@ -39,7 +39,7 @@ func (d *decomposeDoc) appendJSON(b []byte) []byte {
 	b = append(b, `","seed":`...)
 	b = strconv.AppendUint(b, d.seed, 10)
 	b = append(b, `,"algorithm":`...)
-	b = decomp.AppendJSONString(b, d.algorithm)
+	b = partition.AppendJSONString(b, d.algorithm)
 	b = append(b, `,"cacheHit":`...)
 	b = strconv.AppendBool(b, d.cacheHit)
 	b = append(b, `,"latencyNs":`...)

@@ -28,7 +28,7 @@ func TestSpannerIsSubgraphAndConnected(t *testing.T) {
 	}
 	for name, g := range graphs {
 		dec := buildDec(t, g, 4, 3)
-		s, err := Build(g, decomp.FromCore(dec))
+		s, err := Build(g, &dec.Partition)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -52,7 +52,7 @@ func TestSpannerSparsifiesDenseGraphs(t *testing.T) {
 	// edges are < n and bridges are bounded by cluster adjacencies.
 	g := gen.Gnp(randx.New(2), 300, 0.1) // ~4485 edges
 	dec := buildDec(t, g, 4, 5)
-	s, err := Build(g, decomp.FromCore(dec))
+	s, err := Build(g, &dec.Partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSpannerSparsifiesDenseGraphs(t *testing.T) {
 func TestSpannerStretch(t *testing.T) {
 	g := gen.GnpConnected(randx.New(3), 250, 0.02)
 	dec := buildDec(t, g, 4, 7)
-	s, err := Build(g, decomp.FromCore(dec))
+	s, err := Build(g, &dec.Partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,8 +80,8 @@ func TestSpannerStretch(t *testing.T) {
 	}
 	// A loose sanity ceiling: stretch is governed by cluster diameter and
 	// the color sweep; for k=4 it should stay well below this.
-	diam, ok := dec.StrongDiameter(g)
-	if !ok {
+	diam, disconnected := dec.StrongDiameter(g)
+	if disconnected != 0 {
 		t.Fatal("disconnected cluster")
 	}
 	limit := float64(4*(diam+1) + 8)
@@ -93,7 +93,7 @@ func TestSpannerStretch(t *testing.T) {
 func TestSpannerOnTreeIsTree(t *testing.T) {
 	g := gen.RandomTree(randx.New(4), 200)
 	dec := buildDec(t, g, 3, 11)
-	s, err := Build(g, decomp.FromCore(dec))
+	s, err := Build(g, &dec.Partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSpannerRejectsIncomplete(t *testing.T) {
 	if dec.Complete {
 		t.Skip("single phase completed")
 	}
-	if _, err := Build(g, decomp.FromCore(dec)); err == nil {
+	if _, err := Build(g, &dec.Partition); err == nil {
 		t.Fatal("incomplete decomposition accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestSpannerSingletonClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(g, decomp.FromCore(dec))
+	s, err := Build(g, &dec.Partition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSpannerEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(g, decomp.FromCore(dec))
+	s, err := Build(g, &dec.Partition)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,26 +56,20 @@ func (r *Report) Err() error {
 	return fmt.Errorf("verify: %d violations, first %d: %v", len(r.Errors), max, r.Errors[:max])
 }
 
-// Decomposition validates a clustering of g given as member lists and a
+// Clustering validates a clustering of g given as member lists and a
 // per-cluster color, checking:
 //
 //   - clusters are non-empty, within range, and pairwise disjoint;
-//   - adjacent vertices in different clusters have different colors (the
-//     supergraph G(P) is properly colored);
+//   - with requireProperColors, adjacent vertices in different clusters
+//     have different colors (the supergraph G(P) is properly colored);
 //   - and it measures strong/weak diameters and coverage.
 //
 // requireComplete adds a violation when some vertex is unassigned;
 // requireConnected adds one per cluster that is disconnected in its
-// induced subgraph (mandatory for *strong* decompositions).
-func Decomposition(g graph.Interface, clusters [][]int, colors []int, requireComplete, requireConnected bool) *Report {
-	return Clustering(g, clusters, colors, requireComplete, requireConnected, true)
-}
-
-// Clustering is the fully general validator behind Decomposition: the
-// additional requireProperColors flag controls whether adjacent clusters
-// of equal color are violations. Low-diameter *partitions* (MPX) carry a
-// single color class and are validated with requireProperColors false;
-// network *decompositions* require true.
+// induced subgraph (mandatory for *strong* decompositions). Network
+// *decompositions* require proper colors; low-diameter *partitions* (MPX)
+// carry a single color class and are validated with requireProperColors
+// false.
 func Clustering(g graph.Interface, clusters [][]int, colors []int, requireComplete, requireConnected, requireProperColors bool) *Report {
 	r := &Report{ClusterCount: len(clusters)}
 	if len(colors) != len(clusters) {

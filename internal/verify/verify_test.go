@@ -12,7 +12,7 @@ func TestDecompositionValid(t *testing.T) {
 	g := gen.Path(6) // 0-1-2-3-4-5
 	clusters := [][]int{{0, 1}, {2, 3}, {4, 5}}
 	colors := []int{0, 1, 0}
-	r := Decomposition(g, clusters, colors, true, true)
+	r := Clustering(g, clusters, colors, true, true, true)
 	if !r.Valid() {
 		t.Fatalf("valid decomposition rejected: %v", r.Errors)
 	}
@@ -28,7 +28,7 @@ func TestDecompositionDetectsImproperColoring(t *testing.T) {
 	g := gen.Path(4)
 	clusters := [][]int{{0, 1}, {2, 3}}
 	colors := []int{0, 0} // adjacent clusters, same color
-	r := Decomposition(g, clusters, colors, true, true)
+	r := Clustering(g, clusters, colors, true, true, true)
 	if r.Valid() {
 		t.Fatal("improper supergraph coloring accepted")
 	}
@@ -39,7 +39,7 @@ func TestDecompositionDetectsImproperColoring(t *testing.T) {
 
 func TestDecompositionDetectsOverlap(t *testing.T) {
 	g := gen.Path(4)
-	r := Decomposition(g, [][]int{{0, 1}, {1, 2, 3}}, []int{0, 1}, true, true)
+	r := Clustering(g, [][]int{{0, 1}, {1, 2, 3}}, []int{0, 1}, true, true, true)
 	if r.Valid() {
 		t.Fatal("overlapping clusters accepted")
 	}
@@ -47,11 +47,11 @@ func TestDecompositionDetectsOverlap(t *testing.T) {
 
 func TestDecompositionDetectsIncomplete(t *testing.T) {
 	g := gen.Path(4)
-	r := Decomposition(g, [][]int{{0, 1}}, []int{0}, true, true)
+	r := Clustering(g, [][]int{{0, 1}}, []int{0}, true, true, true)
 	if r.Valid() {
 		t.Fatal("incomplete decomposition accepted with requireComplete")
 	}
-	r = Decomposition(g, [][]int{{0, 1}}, []int{0}, false, true)
+	r = Clustering(g, [][]int{{0, 1}}, []int{0}, false, true, true)
 	if !r.Valid() {
 		t.Fatalf("partial decomposition rejected without requireComplete: %v", r.Errors)
 	}
@@ -65,11 +65,11 @@ func TestDecompositionDetectsDisconnected(t *testing.T) {
 	// {0, 2} is disconnected in the induced subgraph.
 	clusters := [][]int{{0, 2}, {1}, {3, 4}}
 	colors := []int{0, 1, 2}
-	r := Decomposition(g, clusters, colors, true, true)
+	r := Clustering(g, clusters, colors, true, true, true)
 	if r.Valid() {
 		t.Fatal("disconnected cluster accepted with requireConnected")
 	}
-	r = Decomposition(g, clusters, colors, true, false)
+	r = Clustering(g, clusters, colors, true, false, true)
 	if !r.Valid() {
 		t.Fatalf("weak decomposition rejected: %v", r.Errors)
 	}
@@ -83,13 +83,13 @@ func TestDecompositionDetectsDisconnected(t *testing.T) {
 
 func TestDecompositionBadInputs(t *testing.T) {
 	g := gen.Path(3)
-	if r := Decomposition(g, [][]int{{0}}, []int{0, 1}, true, true); r.Valid() {
+	if r := Clustering(g, [][]int{{0}}, []int{0, 1}, true, true, true); r.Valid() {
 		t.Fatal("color/cluster length mismatch accepted")
 	}
-	if r := Decomposition(g, [][]int{{}}, []int{0}, false, true); r.Valid() {
+	if r := Clustering(g, [][]int{{}}, []int{0}, false, true, true); r.Valid() {
 		t.Fatal("empty cluster accepted")
 	}
-	if r := Decomposition(g, [][]int{{7}}, []int{0}, false, true); r.Valid() {
+	if r := Clustering(g, [][]int{{7}}, []int{0}, false, true, true); r.Valid() {
 		t.Fatal("out-of-range vertex accepted")
 	}
 }
@@ -169,7 +169,7 @@ func TestReportErrTruncation(t *testing.T) {
 	// Construct many violations: overlapping singletons of one color.
 	clusters := [][]int{{0}, {0}, {0}, {0}, {0}, {0}, {0}}
 	colors := make([]int, len(clusters))
-	r := Decomposition(g, clusters, colors, false, true)
+	r := Clustering(g, clusters, colors, false, true, true)
 	if r.Valid() {
 		t.Fatal("should be invalid")
 	}

@@ -32,12 +32,6 @@
 // keyed on (GraphFingerprint, PlanKey, seed), returning fresh copies.
 // See examples/session and DESIGN.md §10.
 //
-// The per-algorithm entry points below (Decompose, DecomposeDistributed,
-// LinialSaks, MPX, MPXDistributed, BallCarving, AppInputFromDecomposition,
-// Verify, BuildSpanner) predate the registry; they remain as thin
-// deprecated shims that produce bit-identical results and now delegate to
-// the same internals.
-//
 // See the examples/ directory for complete programs, README.md for the
 // quickstart, and DESIGN.md for the architecture and experiment index.
 package netdecomp
@@ -46,11 +40,8 @@ import (
 	"io"
 
 	"netdecomp/internal/apps"
-	"netdecomp/internal/baseline"
 	"netdecomp/internal/core"
 	"netdecomp/internal/cover"
-	"netdecomp/internal/decomp"
-	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
 	"netdecomp/internal/graph"
 	"netdecomp/internal/graphio"
@@ -104,16 +95,9 @@ func ComponentOf(g GraphInterface, v int) *GraphView { return graph.Component(g,
 // built — suitable as a cache key for decomposition results.
 func GraphFingerprint(g GraphInterface) uint64 { return graph.Fingerprint(g) }
 
-// Options configures a decomposition run (see core.Options for the full
-// field documentation).
+// Options configures an Elkin–Neiman run, as the theorem bound helpers
+// below take it (see core.Options for the full field documentation).
 type Options = core.Options
-
-// Decomposition is the result of a run, with clusters, colors and CONGEST
-// cost metrics.
-type Decomposition = core.Decomposition
-
-// Cluster is one cluster of a decomposition.
-type Cluster = core.Cluster
 
 // Variant selects the theorem regime.
 type Variant = core.Variant
@@ -135,93 +119,13 @@ const (
 	RadiusExact = core.RadiusExact
 )
 
-// Decompose runs the Elkin–Neiman algorithm on g as a message-accurate
-// sequential simulation.
-//
-// Deprecated: use Get("elkin-neiman").Decompose, which returns the
-// unified Partition; convert existing Decompositions with
-// PartitionFromDecomposition.
-func Decompose(g *Graph, o Options) (*Decomposition, error) { return core.Run(g, o) }
-
-// EngineOptions configures the message-passing engine used by
-// DecomposeDistributed.
-type EngineOptions = dist.Options
-
-// DecomposeDistributed runs the identical algorithm as a true node program
-// on the synchronous message-passing engine (optionally on a goroutine
-// pool). It produces the same clusters as Decompose for equal Options.
-//
-// Deprecated: use Get("elkin-neiman/dist").Decompose, or any elkin-neiman
-// name with WithScheduler.
-func DecomposeDistributed(g *Graph, o Options, e EngineOptions) (*Decomposition, error) {
-	return core.RunDistributed(g, o, e)
-}
-
 // VerifyReport is the validation summary of a decomposition.
 type VerifyReport = verify.Report
-
-// Verify checks a decomposition against its graph: disjoint connected
-// clusters, proper supergraph coloring, and measures diameters. Strong
-// connectivity of clusters is required; completeness is required exactly
-// when the run reported Complete.
-//
-// Deprecated: use VerifyPartition, which applies the right invariants to
-// any registered algorithm's Partition.
-func Verify(g *Graph, dec *Decomposition) *VerifyReport {
-	clusters := make([][]int, len(dec.Clusters))
-	colors := make([]int, len(dec.Clusters))
-	for i := range dec.Clusters {
-		clusters[i] = dec.Clusters[i].Members
-		colors[i] = dec.Clusters[i].Color
-	}
-	return verify.Decomposition(g, clusters, colors, dec.Complete, true)
-}
-
-// Baseline re-exports.
-
-// LSOptions configures the Linial–Saks baseline.
-type LSOptions = baseline.LSOptions
-
-// LSPartition is the Linial–Saks result.
-type LSPartition = baseline.Partition
-
-// LinialSaks runs the weak-diameter decomposition baseline.
-//
-// Deprecated: use Get("linial-saks").Decompose.
-func LinialSaks(g *Graph, o LSOptions) (*LSPartition, error) { return baseline.LinialSaks(g, o) }
-
-// MPXOptions configures the Miller–Peng–Xu partition.
-type MPXOptions = baseline.MPXOptions
-
-// MPXResult is the MPX padded partition.
-type MPXResult = baseline.MPXResult
-
-// MPX runs the shifted-exponential low-diameter partition.
-//
-// Deprecated: use Get("mpx").Decompose.
-func MPX(g *Graph, o MPXOptions) (*MPXResult, error) { return baseline.MPX(g, o) }
-
-// BCOptions configures the deterministic sequential ball-carving baseline.
-type BCOptions = baseline.BCOptions
-
-// BallCarving runs the classic deterministic sequential ball-carving
-// decomposition — the existence yardstick the distributed algorithm is
-// measured against.
-//
-// Deprecated: use Get("ball-carving").Decompose.
-func BallCarving(g *Graph, o BCOptions) (*LSPartition, error) { return baseline.BallCarving(g, o) }
 
 // Application re-exports.
 
 // AppInput is a complete clustered view consumed by the applications.
 type AppInput = apps.Input
-
-// AppInputFromDecomposition adapts a complete decomposition for the
-// applications (run Decompose with ForceComplete to guarantee coverage).
-//
-// Deprecated: use AppInputFromPartition, which accepts any registered
-// algorithm's Partition.
-func AppInputFromDecomposition(dec *Decomposition) (AppInput, error) { return apps.FromCore(dec) }
 
 // MISResult is a maximal independent set with distributed cost.
 type MISResult = apps.MISResult
@@ -264,15 +168,6 @@ func BuildCover(g GraphInterface, o CoverOptions) (*Cover, error) { return cover
 // Spanner is a sparse skeleton subgraph with quality measures.
 type Spanner = spanner.Spanner
 
-// BuildSpanner constructs the cluster-tree-plus-bridges skeleton from a
-// complete decomposition ([DMP+05]).
-//
-// Deprecated: use BuildSpannerFrom, which accepts any registered
-// algorithm's Partition.
-func BuildSpanner(g *Graph, dec *Decomposition) (*Spanner, error) {
-	return spanner.Build(g, decomp.FromCore(dec))
-}
-
 // BuildSpannerFrom constructs the skeleton from any complete Partition —
 // weak-diameter partitions are refined into connected pieces first.
 func BuildSpannerFrom(g GraphInterface, p *Partition) (*Spanner, error) { return spanner.Build(g, p) }
@@ -285,15 +180,6 @@ func WriteGraph(w io.Writer, g GraphInterface) error { return graphio.Write(w, g
 
 // ReadGraph parses an edge-list graph.
 func ReadGraph(r io.Reader) (*Graph, error) { return graphio.Read(r) }
-
-// MPXDistributed runs the round-based MPX implementation on the
-// message-passing engine (identical clusters to MPX; rounds and messages
-// from real engine accounting).
-//
-// Deprecated: use Get("mpx/dist").Decompose.
-func MPXDistributed(g *Graph, o MPXOptions) (*MPXResult, error) {
-	return baseline.MPXDistributed(g, o)
-}
 
 // Generator re-exports: the workload families used by the experiments.
 

@@ -1,6 +1,7 @@
 package netdecomp_test
 
 import (
+	"context"
 	"testing"
 
 	"netdecomp"
@@ -11,22 +12,23 @@ import (
 // three applications.
 func TestFacadeEndToEnd(t *testing.T) {
 	g := netdecomp.GnpConnected(netdecomp.NewRNG(1), 400, 0.01)
-	dec, err := netdecomp.Decompose(g, netdecomp.Options{K: 5, C: 8, Seed: 7, ForceComplete: true})
+	p, err := netdecomp.MustGet("elkin-neiman").Decompose(context.Background(), g,
+		netdecomp.WithK(5), netdecomp.WithC(8), netdecomp.WithSeed(7), netdecomp.WithForceComplete())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.Complete {
+	if !p.Complete {
 		t.Fatal("ForceComplete run incomplete")
 	}
-	rep := netdecomp.Verify(g, dec)
+	rep := netdecomp.VerifyPartition(g, p)
 	if !rep.Valid() {
 		t.Fatalf("verification failed: %v", rep.Err())
 	}
-	if rep.MaxStrongDiameter > 2*dec.K-2 && dec.TruncationEvents == 0 {
-		t.Fatalf("diameter %d over bound without truncation", rep.MaxStrongDiameter)
+	if bound, err := netdecomp.TheoremDiameterBound(g.N(), netdecomp.Options{K: 5, C: 8}); err != nil || rep.MaxStrongDiameter > bound {
+		t.Fatalf("diameter %d over bound %d (err %v)", rep.MaxStrongDiameter, bound, err)
 	}
 
-	in, err := netdecomp.AppInputFromDecomposition(dec)
+	in, err := netdecomp.AppInputFromPartition(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +46,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 // TestFacadeDistributed checks the message-passing path through the facade.
 func TestFacadeDistributed(t *testing.T) {
 	g := netdecomp.Grid(12, 12)
-	o := netdecomp.Options{K: 4, C: 8, Seed: 3}
-	a, err := netdecomp.Decompose(g, o)
+	ctx := context.Background()
+	a, err := netdecomp.MustGet("elkin-neiman").Decompose(ctx, g,
+		netdecomp.WithK(4), netdecomp.WithC(8), netdecomp.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := netdecomp.DecomposeDistributed(g, o, netdecomp.EngineOptions{Parallel: true})
+	b, err := netdecomp.MustGet("elkin-neiman/dist").Decompose(ctx, g,
+		netdecomp.WithK(4), netdecomp.WithC(8), netdecomp.WithSeed(3), netdecomp.WithScheduler(true, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +62,19 @@ func TestFacadeDistributed(t *testing.T) {
 	}
 }
 
-// TestFacadeBaselines checks the baseline re-exports.
+// TestFacadeBaselines checks the baselines through the registry.
 func TestFacadeBaselines(t *testing.T) {
 	g := netdecomp.RingOfCliques(8, 6)
-	ls, err := netdecomp.LinialSaks(g, netdecomp.LSOptions{K: 4, Seed: 1, ForceComplete: true})
+	ctx := context.Background()
+	ls, err := netdecomp.MustGet("linial-saks").Decompose(ctx, g,
+		netdecomp.WithK(4), netdecomp.WithSeed(1), netdecomp.WithForceComplete())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ls.Complete {
 		t.Fatal("LS incomplete")
 	}
-	mpx, err := netdecomp.MPX(g, netdecomp.MPXOptions{Beta: 0.3, Seed: 1})
+	mpx, err := netdecomp.MustGet("mpx").Decompose(ctx, g, netdecomp.WithBeta(0.3), netdecomp.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
