@@ -517,19 +517,8 @@ func presetState(preset func(v int32) (topTwo, bool), v int32) (topTwo, bool) {
 	return preset(v)
 }
 
-// countTruncations counts alive vertices whose draw meets or exceeds k+1 —
-// the events E_v of Lemma 1.
-func countTruncations(alive []bool, radius []float64, k int) int {
-	t := 0
-	for v, r := range radius {
-		if alive[v] && r >= float64(k)+1 {
-			t++
-		}
-	}
-	return t
-}
-
-// countTruncationsSparse is countTruncations over the alive worklist.
+// countTruncationsSparse counts alive vertices whose draw meets or exceeds
+// k+1 — the events E_v of Lemma 1.
 func countTruncationsSparse(aliveList []int32, radius []float64, k int) int {
 	t := 0
 	for _, v := range aliveList {
@@ -540,21 +529,8 @@ func countTruncationsSparse(aliveList []int32, radius []float64, k int) int {
 	return t
 }
 
-// maxFlooredRadius returns max_v ⌊r_v⌋ over alive vertices (at least 0),
-// the exact per-phase round requirement of RadiusExact mode.
-func maxFlooredRadius(alive []bool, radius []float64) int {
-	max := 0
-	for v, r := range radius {
-		if alive[v] {
-			if fl := int(math.Floor(r)); fl > max {
-				max = fl
-			}
-		}
-	}
-	return max
-}
-
-// maxFlooredRadiusSparse is maxFlooredRadius over the alive worklist.
+// maxFlooredRadiusSparse returns max_v ⌊r_v⌋ over the alive worklist (at
+// least 0), the exact per-phase round requirement of RadiusExact mode.
 func maxFlooredRadiusSparse(aliveList []int32, radius []float64) int {
 	max := 0
 	for _, v := range aliveList {

@@ -21,7 +21,7 @@ package core
 // changed are found by certified delta simulation: grow a region around
 // the divergence sources (diverged vertices and live changed-edge
 // endpoints), re-simulate the region with its boundary shell frozen at the
-// prior run's recorded final states (rebroadcast from round 0 — which, in
+// prior run's final states (rebroadcast from round 0 — which, in
 // the absence of radius truncation, reaches exactly the vertices the
 // original timed arrivals reached), and accept the region iff every
 // boundary vertex's simulated final state bit-matches the prior run's.
@@ -35,9 +35,17 @@ package core
 // fall back to the conservative ball bound; and past a configurable
 // region fraction Repair abandons incrementality for a full recompute.
 //
-// The composed join set feeds the same buildClusters as a scratch run on
-// the new graph, so cluster ordering, centers, colors, and
-// center-violation accounting all match. The returned Decomposition is
+// The state carried between repairs is one table of final states per
+// phase. Repair patches each phase's table in place once the phase is
+// settled — re-simulated vertices take their new finals (gaining a row if
+// newly alive), vertices that no longer reach the phase leave — so the
+// tables always describe the latest graph and nothing of older runs stays
+// reachable.
+//
+// The composed join set is clustered in the same order buildClusters gives
+// a scratch run on the new graph, adopting unchanged prior clusters
+// wholesale, so cluster ordering, centers, colors, and center-violation
+// accounting all match. The returned Decomposition is
 // content-identical to Run(g, o) on the mutated graph — Clusters,
 // ClusterOf, Colors, PhasesUsed, AlivePerPhase, Complete,
 // TruncationEvents, CenterViolations all match — while the traffic metrics
@@ -46,7 +54,6 @@ package core
 // bought.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -56,25 +63,14 @@ import (
 	"netdecomp/internal/randx"
 )
 
-// phaseFinals pins one phase's converged broadcast states: the final
-// top-two of every vertex alive in that phase, parallel to the ascending
-// alive list. Immutable once built; repairs share unchanged snapshots.
+// phaseFinals is one phase's table of converged broadcast states: the
+// final top-two of every vertex alive in that phase, one row each. Repair
+// patches it in place (set for re-simulated vertices, drop for deaths), so
+// its rows are always exactly the phase's alive set.
 type phaseFinals struct {
-	// Flat snapshot: the phase's alive list (ascending) with parallel
-	// final states. When base is non-nil this is instead a sparse overlay
-	// snapshot — base's view plus the edits below — and alive/final/idx
-	// are nil. Overlays are how repairs record phases that barely moved
-	// without re-materializing megabytes of identical finals; overlayCap
-	// bounds the chain depth, after which a repair records flat again.
-	alive []int32
-	final []topTwo
-	idx   []int32 // lazy dense vertex→position index; -1 = not alive
-
-	base    *phaseFinals
-	depth   int
-	over    []int32  // ascending: vertices whose final differs from base's view
-	overSt  []topTwo // parallel states for over
-	removed []int32  // ascending: alive in base's view, dead here
+	pos   []int32  // vertex → row; -1 = not alive in the phase
+	verts []int32  // row → vertex
+	final []topTwo // row → final state
 
 	// Radius statistics over the phase's alive set. Radii are pure
 	// functions of (seed, phase, v), so a repair updates these from the
@@ -86,163 +82,103 @@ type phaseFinals struct {
 	maxCnt int // alive vertices achieving maxFl
 }
 
-// overlayCap is the maximum overlay chain depth before a repair records a
-// phase flat again, bounding both lookup cost and retained history.
-const overlayCap = 2
-
-// lookup returns v's recorded final state, if v was alive in the phase.
-// Overlay layers are consulted newest-first; the flat base builds a dense
-// index on first use since it sits on the delta simulation's per-vertex
-// hot path (seeding, certification, recording).
-func (pf *phaseFinals) lookup(v int32) (topTwo, bool) {
-	p := pf
-	for p.base != nil {
-		if i, ok := slices.BinarySearch(p.over, v); ok {
-			return p.overSt[i], true
-		}
-		if _, ok := slices.BinarySearch(p.removed, v); ok {
-			return topTwo{}, false
-		}
-		p = p.base
+// newPhaseFinals tables state over the alive list of an n-vertex graph.
+func newPhaseFinals(n int, aliveList []int32, state []topTwo) *phaseFinals {
+	pf := &phaseFinals{
+		pos:   make([]int32, n),
+		verts: slices.Clone(aliveList),
+		final: make([]topTwo, len(aliveList)),
 	}
-	if p.idx == nil {
-		size := int32(0)
-		if len(p.alive) > 0 {
-			size = p.alive[len(p.alive)-1] + 1
-		}
-		idx := make([]int32, size)
-		for i := range idx {
-			idx[i] = -1
-		}
-		for i, u := range p.alive {
-			idx[u] = int32(i)
-		}
-		p.idx = idx
+	for v := range pf.pos {
+		pf.pos[v] = -1
 	}
-	if int(v) >= len(p.idx) || p.idx[v] < 0 {
-		return topTwo{}, false
+	for i, v := range aliveList {
+		pf.pos[v] = int32(i)
+		pf.final[i] = state[v]
 	}
-	return p.final[p.idx[v]], true
+	return pf
 }
 
-// foldOverlay merges a child edit set — over (cOver/cSt) and removed
-// (cRem), each ascending, both expressed against overlay p's full chain
-// view — into p's own edit lists, returning the lists of a single overlay
-// over p.base that reproduces the child chain's lookup results exactly.
-// Child entries win conflicts; parent over entries the child removed are
-// dropped, as are parent removed entries the child resurrected.
-func foldOverlay(cOver []int32, cSt []topTwo, cRem []int32, p *phaseFinals) ([]int32, []topTwo, []int32) {
-	over := make([]int32, 0, len(cOver)+len(p.over))
-	st := make([]topTwo, 0, len(cOver)+len(p.over))
-	i, j, r := 0, 0, 0
-	for i < len(cOver) || j < len(p.over) {
-		if j >= len(p.over) || (i < len(cOver) && cOver[i] <= p.over[j]) {
-			if j < len(p.over) && p.over[j] == cOver[i] {
-				j++
-			}
-			over = append(over, cOver[i])
-			st = append(st, cSt[i])
-			i++
-			continue
-		}
-		v := p.over[j]
-		for r < len(cRem) && cRem[r] < v {
-			r++
-		}
-		if r >= len(cRem) || cRem[r] != v {
-			over = append(over, v)
-			st = append(st, p.overSt[j])
-		}
-		j++
+// lookup returns v's recorded final state, if v was alive in the phase.
+func (pf *phaseFinals) lookup(v int32) (topTwo, bool) {
+	i := pf.pos[v]
+	if i < 0 {
+		return topTwo{}, false
 	}
-	removed := make([]int32, 0, len(cRem)+len(p.removed))
-	i, j = 0, 0
-	for i < len(cRem) || j < len(p.removed) {
-		if j >= len(p.removed) || (i < len(cRem) && cRem[i] <= p.removed[j]) {
-			if j < len(p.removed) && p.removed[j] == cRem[i] {
-				j++
-			}
-			removed = append(removed, cRem[i])
-			i++
-			continue
-		}
-		v := p.removed[j]
-		if _, ok := slices.BinarySearch(cOver, v); !ok {
-			removed = append(removed, v)
-		}
-		j++
+	return pf.final[i], true
+}
+
+// set records s as v's final state, adding a row if v had none.
+func (pf *phaseFinals) set(v int32, s topTwo) {
+	if i := pf.pos[v]; i >= 0 {
+		pf.final[i] = s
+		return
 	}
-	return over, st, removed
+	pf.pos[v] = int32(len(pf.verts))
+	pf.verts = append(pf.verts, v)
+	pf.final = append(pf.final, s)
+}
+
+// drop removes v's row, if any, moving the last row into its place.
+func (pf *phaseFinals) drop(v int32) {
+	i := pf.pos[v]
+	if i < 0 {
+		return
+	}
+	last := len(pf.verts) - 1
+	u := pf.verts[last]
+	pf.verts[i], pf.final[i] = u, pf.final[last]
+	pf.pos[u] = i
+	pf.pos[v] = -1
+	pf.verts, pf.final = pf.verts[:last], pf.final[:last]
 }
 
 // RepairState pins the outcome of a completed run: the phase at which each
-// vertex joined its cluster, the center it chose, and (when produced by
-// RunRepairable) each phase's converged broadcast states. The per-phase
-// states are what enable certified delta simulation; a state without them
-// (NewRepairState) still repairs, via the conservative ball bound only.
+// vertex joined its cluster, the center it chose, the clusters, and one
+// table of converged broadcast states per phase — the reference delta
+// simulation replays and certifies against. RunRepairable produces one;
+// Repair consumes one and returns its successor.
 type RepairState struct {
 	n         int
 	joinPhase []int32 // phase v joined at, or -1 (never clustered)
 	center    []int32 // center v chose when it joined, or -1
-	phases    []phaseFinals
+	// phases holds one table per executed phase. Repair moves them out of
+	// the state it is given (leaving nil) into the state it returns, so a
+	// state already consumed carries none and repairs by recompute.
+	phases []*phaseFinals
 	// The prior run's cluster list and vertex→cluster index (shared with
 	// the Decomposition that produced them, immutable by convention).
 	// Repair adopts clusters of untouched components wholesale — member
 	// slices included — and rebuilds only components reached by membership
 	// changes or changed edges, so steady-state cluster extraction costs
-	// the damage, not the graph. nil (NewRepairState) disables adoption.
+	// the damage, not the graph.
 	clusters  []partition.Cluster
 	clusterOf []int
 }
 
-// NewRepairState extracts the repair state from a trace-captured run. The
-// trace's per-phase center records carry each vertex's own choice, so the
-// state is exact even for the rare truncation-induced clusters whose
-// members chose different centers. The trace does not record broadcast
-// states, so the resulting state drives only the conservative repair path;
-// RunRepairable produces the full state.
-func NewRepairState(dec *Decomposition) (*RepairState, error) {
-	if dec.Trace == nil {
-		return nil, errors.New("core: repair state requires a run with Options.CaptureTrace")
+// RunRepairable executes a full decomposition and returns the repair state
+// alongside it — the bootstrap (and fallback) path of incremental
+// maintenance. The returned Decomposition is exactly Run(g, o)'s; the
+// state is read off each phase's final states, which also decide every
+// vertex's join and center.
+func RunRepairable(g graph.Interface, o Options) (*Decomposition, *RepairState, error) {
+	n := g.N()
+	_, sched, err := resolve(n, o)
+	if err != nil {
+		return nil, nil, err
 	}
-	st := &RepairState{
-		n:         dec.N,
-		joinPhase: make([]int32, dec.N),
-		center:    make([]int32, dec.N),
-	}
+	st := &RepairState{n: n, joinPhase: make([]int32, n), center: make([]int32, n)}
 	for v := range st.joinPhase {
 		st.joinPhase[v] = -1
 		st.center[v] = none
 	}
-	for t := range dec.Trace.Center {
-		for v, c := range dec.Trace.Center[t] {
-			if c != none && st.joinPhase[v] < 0 {
-				st.joinPhase[v] = int32(t)
-				st.center[v] = int32(c)
-			}
-		}
-	}
-	st.clusters = dec.Clusters
-	st.clusterOf = dec.ClusterOf
-	return st, nil
-}
-
-// RunRepairable executes a full decomposition and returns the repair state
-// alongside it — the bootstrap (and fallback) path of incremental
-// maintenance. The returned Decomposition carries no trace regardless of
-// o.CaptureTrace's value; it is otherwise identical to Run(g, o).
-func RunRepairable(g graph.Interface, o Options) (*Decomposition, *RepairState, error) {
-	ot := o
-	ot.CaptureTrace = true
-	_, sched, err := resolve(g.N(), ot)
-	if err != nil {
-		return nil, nil, err
-	}
-	var finals []phaseFinals
 	x := Exec{phaseFinal: func(phase int, aliveList []int32, state []topTwo, radius []float64) {
-		pf := phaseFinals{alive: slices.Clone(aliveList), final: make([]topTwo, len(aliveList))}
-		for i, v := range aliveList {
-			pf.final[i] = state[v]
+		pf := newPhaseFinals(n, aliveList, state)
+		for _, v := range aliveList {
+			if state[v].joins() {
+				st.joinPhase[v] = int32(phase)
+				st.center[v] = int32(state[v].c1)
+			}
 			r := radius[v]
 			if r >= float64(sched.k)+1 {
 				pf.trunc++
@@ -253,19 +189,13 @@ func RunRepairable(g graph.Interface, o Options) (*Decomposition, *RepairState, 
 				pf.maxCnt++
 			}
 		}
-		finals = append(finals, pf)
+		st.phases = append(st.phases, pf)
 	}}
-	dec, err := RunWith(g, ot, x)
+	dec, err := RunWith(g, o, x)
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := NewRepairState(dec)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.phases = finals
-	dec.Trace = nil
-	dec.Opts.CaptureTrace = o.CaptureTrace
+	st.clusters, st.clusterOf = dec.Clusters, dec.ClusterOf
 	return dec, st, nil
 }
 
@@ -314,10 +244,18 @@ type RepairStats struct {
 // changes must list exactly the effective edge differences between the
 // prior graph and g. It returns the new decomposition, the state pinning
 // it (for the next repair), and the repair statistics.
+//
+// Repair consumes st: once the changes validate, st's per-phase tables
+// move into the returned state and are patched there in place, whatever
+// the outcome. A consumed state passed again repairs by full recompute,
+// as a nil st does.
 func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange, cfg RepairConfig) (*Decomposition, *RepairState, RepairStats, error) {
 	n := g.N()
 	if st == nil || st.n != n {
 		return repairFallback(g, o, RepairStats{}, "no prior state for this vertex count")
+	}
+	if st.phases == nil {
+		return repairFallback(g, o, RepairStats{}, "prior state already consumed")
 	}
 	for _, c := range changes {
 		if c.U < 0 || int(c.U) >= n || c.V < 0 || int(c.V) >= n || c.U == c.V {
@@ -328,6 +266,8 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 	if err != nil {
 		return nil, nil, RepairStats{}, err
 	}
+	tables := st.phases
+	st.phases = nil
 	frac := cfg.MaxDamageFraction
 	if frac == 0 {
 		frac = 0.25
@@ -353,13 +293,7 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 	}
 
 	// The prior run's per-phase join sets, bucketed ascending.
-	maxJoin := int32(-1)
-	for _, p := range st.joinPhase {
-		if p > maxJoin {
-			maxJoin = p
-		}
-	}
-	oldJoin := make([][]int32, maxJoin+1)
+	oldJoin := make([][]int32, len(tables))
 	for v, p := range st.joinPhase {
 		if p >= 0 {
 			oldJoin[p] = append(oldJoin[p], int32(v))
@@ -405,35 +339,28 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 	// Cluster-adoption scratch: joinedMask marks the phase's join set,
 	// assignedMask the members already placed into a cluster, dirtyMask the
 	// prior clusters that cannot be adopted this phase.
-	canPatch := st.clusters != nil && st.clusterOf != nil
 	joinedMask := make([]bool, n)
 	assignedMask := make([]bool, n)
-	var dirtyMask []bool
+	dirtyMask := make([]bool, len(st.clusters))
 	var dirtyList []int
 	var clusterQueue []int32
-	if canPatch {
-		dirtyMask = make([]bool, len(st.clusters))
-	}
 
 	dec := newDecomposition(n, o2, sched)
 	// The prior run's cluster count is a near-exact capacity estimate;
 	// growing this slice inside emitCluster otherwise dominates the
 	// small-batch repair floor (tens of thousands of Cluster appends).
 	dec.Clusters = make([]partition.Cluster, 0, len(st.clusters)+16)
-	if canPatch {
-		// Start from the prior run's assignment: adopted clusters whose
-		// index did not shift then skip their per-member writes entirely,
-		// which removes the last O(n) random-write pass from small repairs.
-		// Vertices the new run leaves unclustered are fixed up after the
-		// phase loop; every other vertex is covered by an emitCluster call.
-		copy(dec.ClusterOf, st.clusterOf)
-	}
+	// Start from the prior run's assignment: adopted clusters whose index
+	// did not shift then skip their per-member writes entirely, which
+	// removes the last O(n) random-write pass from small repairs. Vertices
+	// the new run leaves unclustered are fixed up after the phase loop;
+	// every other vertex is covered by an emitCluster call.
+	copy(dec.ClusterOf, st.clusterOf)
 	newState := &RepairState{n: n, joinPhase: make([]int32, n), center: make([]int32, n)}
 	for v := range newState.joinPhase {
 		newState.joinPhase[v] = -1
 		newState.center[v] = none
 	}
-	recordFinals := st.phases != nil
 
 	runner := newPhaseRunner(g)
 	maxPhases := sched.budget
@@ -592,16 +519,16 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 		// Per-phase radius statistics: the truncation count and max floored
 		// radius over the new alive set (with its achiever count), plus the
 		// union-alive max that bounds propagation rounds. When the prior
-		// state recorded this phase, they are maintained from the alive-set
+		// run tabled this phase, they are maintained from the alive-set
 		// diff alone — radii are pure functions of (seed, phase, v) — so the
 		// full-graph draw (one exponential per alive vertex, the dominant
-		// fixed cost of small repairs) happens only past the recorded
+		// fixed cost of small repairs) happens only past the tabled
 		// prefix. The simulation paths below draw radii for exactly the
 		// vertices they touch.
 		truncNew, maxFlNew, maxCntNew := 0, 0, 0
 		unionMax := 0
-		if phase < len(st.phases) {
-			pf := &st.phases[phase]
+		if phase < len(tables) {
+			pf := tables[phase]
 			truncNew = pf.trunc
 			deadMax, deadFl := 0, 0
 			addedFl, addedCnt := -1, 0
@@ -673,21 +600,13 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 		dec.TruncationEvents += truncNew
 
 		var joined []int
-		var res phaseResult
-		simulated := false
 		if len(srcList) == 0 {
 			// Both runs see the same graph and alive set from here on this
-			// phase: reuse the prior outcome wholesale.
+			// phase (every diverged vertex is a source): reuse the prior
+			// outcome wholesale and leave the phase's table as it is.
 			for _, v := range oldJoinAt(phase) {
 				joined = append(joined, int(v))
 				centersArr[v] = int(st.center[v])
-			}
-			if recordFinals {
-				if phase < len(st.phases) {
-					newState.phases = append(newState.phases, st.phases[phase])
-				} else {
-					recordFinals = false
-				}
 			}
 		} else {
 			// unionMax (computed above) bounds ⌊r_v⌋ over every vertex alive
@@ -697,14 +616,14 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 			// round budget, limits reach: under RadiusCap a draw past k
 			// (a truncation event) breaks that, so such phases take the
 			// conservative ball path.
-			useDelta := recordFinals && phase < len(st.phases) &&
-				(o2.RadiusMode == RadiusExact || unionMax <= sched.k)
+			useDelta := o2.RadiusMode == RadiusExact || unionMax <= sched.k
 
+			var res phaseResult
 			var trusted []int32 // new-alive vertices whose sim outcome is exact
 			var simJoined []int // ascending joiners among the simulated set
 			var simCenters []int
 			switch {
-			case phase >= len(oldJoin) && int32(phase) > maxJoin && phase >= len(st.phases):
+			case phase >= len(tables):
 				// The prior run ended before this phase: every survivor is
 				// diverged, so simulate the whole remaining graph — which is
 				// exactly what a scratch run would do here.
@@ -713,7 +632,6 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 					simRounds = maxFlNew
 				}
 				res = runner.runSparse(aliveNew, aliveNewList, simRounds, nil)
-				simulated = true
 				simJoined, simCenters = res.joined, res.centers
 				trusted = aliveNewList
 				for _, v := range aliveNewList {
@@ -726,7 +644,7 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 				}
 
 			case useDelta:
-				pf := &st.phases[phase]
+				pf := tables[phase]
 				// R grows only where the certificate fails. Certification
 				// is per connected component of R: a component whose boundary
 				// matched once keeps its simulated states untouched in
@@ -771,139 +689,19 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 					}
 					return pf.lookup(v)
 				}
-				// fastPass certifies a small component in closed form,
-				// mirroring the runner's rounds exactly — snapshot (Jacobi)
-				// deliveries, the value-≥1 send gate, the −1 decrement —
-				// over the component's live members, with the shell frozen
-				// at prior finals. Most damage sites are a single changed
-				// edge whose endpoints' states don't move, so this avoids
-				// the runner's per-simulation setup (row compaction,
-				// frontier, preset seeding) for the common case. Returns
-				// false whenever the component must go through the generic
-				// simulation: too large, a missing prior final, or a
-				// genuine mismatch.
-				const fastMax = 4
-				fastPass := func(comp []int32) bool {
-					var mem [fastMax]int32
-					cnt := 0
-					for _, v := range comp {
-						if aliveNew[v] {
-							if cnt == fastMax {
-								return false
-							}
-							mem[cnt] = v
-							cnt++
-						}
-					}
-					if cnt == 0 {
-						// All members are dead in the new run: nothing to
-						// simulate. Sound because every old-alive-new-dead
-						// vertex is a divergence source whose live
-						// neighborhood was forced into R at region init.
-						return true
-					}
-					var want, prev, curS [fastMax]topTwo
-					for i := 0; i < cnt; i++ {
-						w, found := pf.lookup(mem[i])
-						if !found {
-							return false
-						}
-						want[i] = w
-						prev[i].reset()
-						prev[i].merge(int(mem[i]), runner.radius[mem[i]])
-					}
-					memState := func(w int32) *topTwo {
-						for i := 0; i < cnt; i++ {
-							if mem[i] == w {
-								return &prev[i]
-							}
-						}
-						return &prev[0] // unreachable: R-adjacency implies membership
-					}
-					emitInto := func(dst *topTwo, s *topTwo) {
-						if s.c1 != none && s.v1 >= 1 {
-							dst.merge(s.c1, s.v1-1)
-						}
-						if s.c2 != none && s.v2 >= 1 {
-							dst.merge(s.c2, s.v2-1)
-						}
-					}
-					for round := 0; round < unionMax; round++ {
-						changed := false
-						for i := 0; i < cnt; i++ {
-							s := prev[i]
-							for _, w := range g.Neighbors(int(mem[i])) {
-								if !aliveNew[w] {
-									continue
-								}
-								if compMask[w] {
-									emitInto(&s, memState(w))
-								} else if round == 0 {
-									pw, found := pf.lookup(w)
-									if !found {
-										return false
-									}
-									emitInto(&s, &pw)
-								}
-							}
-							curS[i] = s
-							if s != prev[i] {
-								changed = true
-							}
-						}
-						prev = curS
-						if !changed {
-							break
-						}
-					}
-					for i := 0; i < cnt; i++ {
-						if prev[i] != want[i] {
-							return false
-						}
-					}
-					// Boundary absorption: the members' final emissions must
-					// leave every shell final unchanged. Intermediate values
-					// are dominated by the final top-two (property 2), so
-					// checking the finals covers everything ever sent.
-					for i := 0; i < cnt; i++ {
-						for _, w := range g.Neighbors(int(mem[i])) {
-							if !aliveNew[w] || compMask[w] {
-								continue
-							}
-							pw, found := pf.lookup(w)
-							if !found {
-								return false
-							}
-							check := pw
-							emitInto(&check, &prev[i])
-							if check != pw {
-								return false
-							}
-						}
-					}
-					for i := 0; i < cnt; i++ {
-						runner.state[mem[i]] = prev[i]
-					}
-					stats.RegionVertices += cnt
-					return true
-				}
 				maxIter := 64
 				if c := 2*unionMax + 16; c > maxIter {
 					maxIter = c
 				}
-				fellBack := false
 				var agg phaseResult
 				for iter := 0; ; iter++ {
 					if len(rList) > regionCap {
-						clearMask(rMask, rList)
-						clearMask(srcMask, srcList)
 						return repairFallback(g, o, stats, fmt.Sprintf("phase %d region %d exceeds cap %d", phase, len(rList), regionCap))
 					}
 					if iter >= maxIter {
 						// Growth is not converging; the damage is effectively
 						// global this phase.
-						fellBack = true
-						break
+						return repairFallback(g, o, stats, fmt.Sprintf("phase %d delta certificate never converged", phase))
 					}
 
 					seedsBuf, dirtySeeds = dirtySeeds, seedsBuf[:0]
@@ -946,10 +744,6 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 							if aliveNew[v] {
 								runner.radius[v] = phaseRadius(o2.Seed, phase, v, beta)
 							}
-						}
-
-						if len(compList) <= fastMax && fastPass(compList) {
-							continue
 						}
 
 						// Sim set: the component's new-alive part plus its
@@ -1031,13 +825,7 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 						growFrom(f)
 					}
 				}
-				if fellBack {
-					clearMask(rMask, rList)
-					clearMask(srcMask, srcList)
-					return repairFallback(g, o, stats, fmt.Sprintf("phase %d delta certificate never converged", phase))
-				}
 				res = agg
-				simulated = true
 				// Every R vertex alive in the new run is trusted; joins are
 				// read straight off the certified states.
 				for _, v := range rList {
@@ -1097,8 +885,6 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 					cur, nxt = nxt, cur
 				}
 				if len(rList) > regionCap {
-					clearMask(rMask, rList)
-					clearMask(srcMask, srcList)
 					return repairFallback(g, o, stats, fmt.Sprintf("phase %d damage %d exceeds cap %d", phase, len(rList), regionCap))
 				}
 
@@ -1131,9 +917,6 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 					stats.MaxRegion = len(simList)
 				}
 				if len(simList) > regionCap {
-					clearMask(rMask, rList)
-					clearMask(simMask, simList)
-					clearMask(srcMask, srcList)
 					return repairFallback(g, o, stats, fmt.Sprintf("phase %d region %d exceeds cap %d", phase, len(simList), regionCap))
 				}
 				slices.Sort(simList)
@@ -1144,7 +927,6 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 				}
 
 				res = runner.runSparse(simMask, simList, simRounds, nil)
-				simulated = true
 				simJoined, simCenters = res.joined, res.centers
 				// Only the damaged (R) vertices' outcomes are exact — the
 				// rest of the region is boundary context.
@@ -1155,18 +937,14 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 						regionEver[v] = true
 					}
 				}
-				// Recording (overlay construction) needs trusted ascending.
-				slices.Sort(trusted)
 				clearMask(simMask, simList)
 			}
 
-			if simulated {
-				m := &dec.Metrics
-				m.Rounds += res.rounds
-				m.Messages += res.messages
-				m.Words += res.words
-				m.MaxMessageWords = max(m.MaxMessageWords, res.maxMsgWords)
-			}
+			m := &dec.Metrics
+			m.Rounds += res.rounds
+			m.Messages += res.messages
+			m.Words += res.words
+			m.MaxMessageWords = max(m.MaxMessageWords, res.maxMsgWords)
 
 			// Compose the phase's join set: trusted vertices take the
 			// regional simulation's outcome, everything else repeats the
@@ -1198,118 +976,33 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 				}
 			}
 
-			// Pin this phase's converged states for the next repair:
-			// trusted vertices from the simulation, the rest from the prior
-			// snapshot.
-			if recordFinals && phase < len(st.phases) {
-				prior := &st.phases[phase]
-				// Most repaired phases end bit-identical to the prior run:
-				// no divergence entered the phase (the alive sets match) and
-				// every trusted vertex certified back to its recorded state.
-				// Share the prior snapshot wholesale then — including its
-				// built index — instead of materializing an equal copy; the
-				// clone below is paid only by phases that actually moved.
-				same := len(diffList) == 0
-				if same {
-					for _, v := range trusted {
-						if s, found := prior.lookup(v); !found || runner.state[v] != s {
-							same = false
-							break
-						}
+			// Patch this phase's table for the next repair. Every other
+			// row already holds its final: a vertex alive in both runs
+			// outside R saw no divergence this phase.
+			if phase < len(tables) {
+				pf := tables[phase]
+				for _, v := range trusted {
+					pf.set(v, runner.state[v])
+				}
+				for _, v := range diffList {
+					if !aliveNew[v] {
+						pf.drop(v)
 					}
 				}
-				switch {
-				case same:
-					newState.phases = append(newState.phases, *prior)
-				case prior.depth < overlayCap:
-					// Record the phase as prior plus a sparse edit set. The
-					// only vertices whose view can differ from prior's are
-					// trusted ones (every divergence source lands in R, so
-					// an alive vertex outside R has a prior final by
-					// construction) and diverged deaths.
-					ov := phaseFinals{base: prior, depth: prior.depth + 1,
-						trunc: truncNew, maxFl: maxFlNew, maxCnt: maxCntNew}
-					for _, v := range trusted {
-						if s, found := prior.lookup(v); !found || s != runner.state[v] {
-							ov.over = append(ov.over, v)
-							ov.overSt = append(ov.overSt, runner.state[v])
-						}
-					}
-					for _, v := range diffList {
-						if !aliveNew[v] {
-							ov.removed = append(ov.removed, v)
-						}
-					}
-					slices.Sort(ov.removed)
-					newState.phases = append(newState.phases, ov)
-				default:
-					// Overlay chain at cap: compute this phase's edit set as
-					// usual, then fold it into the newest prior overlay so the
-					// chain stays at cap depth without re-materializing the
-					// snapshot. Past a sparsity threshold the folded edit set
-					// stops paying for itself and a flat snapshot is cheaper
-					// to keep and to query.
-					var cOver []int32
-					var cSt []topTwo
-					for _, v := range trusted {
-						if s, found := prior.lookup(v); !found || s != runner.state[v] {
-							cOver = append(cOver, v)
-							cSt = append(cSt, runner.state[v])
-						}
-					}
-					var cRem []int32
-					for _, v := range diffList {
-						if !aliveNew[v] {
-							cRem = append(cRem, v)
-						}
-					}
-					slices.Sort(cRem)
-					if len(cOver)+len(cRem)+len(prior.over)+len(prior.removed) <= n/8 {
-						ov := phaseFinals{base: prior.base, depth: prior.depth,
-							trunc: truncNew, maxFl: maxFlNew, maxCnt: maxCntNew}
-						ov.over, ov.overSt, ov.removed = foldOverlay(cOver, cSt, cRem, prior)
-						newState.phases = append(newState.phases, ov)
-						break
-					}
-					pf := phaseFinals{alive: slices.Clone(aliveNewList), final: make([]topTwo, len(aliveNewList)),
-						trunc: truncNew, maxFl: maxFlNew, maxCnt: maxCntNew}
-					for i, v := range aliveNewList {
-						if trustMask[v] {
-							pf.final[i] = runner.state[v]
-						} else if s, found := prior.lookup(v); found {
-							pf.final[i] = s
-						} else {
-							recordFinals = false
-							break
-						}
-					}
-					if recordFinals {
-						newState.phases = append(newState.phases, pf)
-					}
-				}
-			} else if recordFinals && len(trusted) == len(aliveNewList) {
-				pf := phaseFinals{alive: slices.Clone(aliveNewList), final: make([]topTwo, len(aliveNewList)),
-					trunc: truncNew, maxFl: maxFlNew, maxCnt: maxCntNew}
-				for i, v := range aliveNewList {
-					pf.final[i] = runner.state[v]
-				}
-				newState.phases = append(newState.phases, pf)
-			} else if recordFinals {
-				recordFinals = false
+				pf.trunc, pf.maxFl, pf.maxCnt = truncNew, maxFlNew, maxCntNew
+			} else {
+				pf := newPhaseFinals(n, aliveNewList, runner.state)
+				pf.trunc, pf.maxFl, pf.maxCnt = truncNew, maxFlNew, maxCntNew
+				tables = append(tables, pf)
 			}
 
 			clearMask(trustMask, trusted)
 			clearMask(rMask, rList)
-			trusted = trusted[:0]
 		}
 		clearMask(srcMask, srcList)
 
 		if len(joined) > 0 {
-			if canPatch {
-				patchClusters(joined, phase)
-			} else {
-				dec.buildClusters(g, joined, centersArr, phase, dec.Colors)
-			}
+			patchClusters(joined, phase)
 			dec.Colors++
 			for _, v := range joined {
 				newState.joinPhase[v] = int32(phase)
@@ -1366,14 +1059,12 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange,
 	}
 	dec.AlivePerPhase = append(dec.AlivePerPhase, aliveNewCount)
 	dec.Complete = aliveNewCount == 0
-	if canPatch {
-		for _, v := range aliveNewList {
-			dec.ClusterOf[v] = -1
-		}
+	for _, v := range aliveNewList {
+		dec.ClusterOf[v] = -1
 	}
-	if recordFinals {
-		newState.phases = newState.phases[:dec.PhasesUsed]
-	}
+	// Tables past the new run's last phase describe phases it never ran.
+	clear(tables[dec.PhasesUsed:])
+	newState.phases = tables[:dec.PhasesUsed]
 	newState.clusters = dec.Clusters
 	newState.clusterOf = dec.ClusterOf
 

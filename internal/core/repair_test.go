@@ -1,8 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 
 	"netdecomp/internal/gen"
@@ -111,19 +112,21 @@ func requireRepairEquivalent(t *testing.T, got, want *Decomposition, msg string)
 	}
 }
 
+// repairOpts covers every variant, both budget modes and both radius modes.
+var repairOpts = []Options{
+	{Variant: Theorem1, K: 4, C: 4, Seed: 11, ForceComplete: true},
+	{Variant: Theorem1, K: 4, C: 4, Seed: 11},
+	{Variant: Theorem2, K: 4, C: 8, Seed: 23, ForceComplete: true},
+	{Variant: Theorem3, K: 4, C: 4, Lambda: 2, Seed: 31, ForceComplete: true},
+	{Variant: Theorem1, K: 4, C: 4, Seed: 47, RadiusMode: RadiusExact, ForceComplete: true},
+}
+
 // TestRepairEquivalence is the core property: for every variant and radius
 // mode, Repair on (mutated graph, prior state, changes) equals RunWith from
 // scratch on the mutated graph, across chained mutation batches.
 func TestRepairEquivalence(t *testing.T) {
 	rng := randx.New(0x5eed)
-	opts := []Options{
-		{Variant: Theorem1, K: 4, C: 4, Seed: 11, ForceComplete: true},
-		{Variant: Theorem1, K: 4, C: 4, Seed: 11},
-		{Variant: Theorem2, K: 4, C: 8, Seed: 23, ForceComplete: true},
-		{Variant: Theorem3, K: 4, C: 4, Lambda: 2, Seed: 31, ForceComplete: true},
-		{Variant: Theorem1, K: 4, C: 4, Seed: 47, RadiusMode: RadiusExact, ForceComplete: true},
-	}
-	for _, o := range opts {
+	for _, o := range repairOpts {
 		g := gen.GnpConnected(rng, 150, 0.03)
 		dec, st, err := RunRepairable(g, o)
 		if err != nil {
@@ -182,6 +185,106 @@ func TestRepairStateChaining(t *testing.T) {
 		requireRepairEquivalent(t, got, want, "chained repair")
 		g, st = g2, st2
 	}
+}
+
+// requireSameState checks that a state handed on by Repair holds exactly a
+// fresh bootstrap's joins, centers and per-phase tables (rows, finals and
+// radius statistics), and that every table's rows index consistently. It
+// returns the number of tables compared.
+func requireSameState(t *testing.T, got, want *RepairState, msg string) int {
+	t.Helper()
+	if !slices.Equal(got.joinPhase, want.joinPhase) || !slices.Equal(got.center, want.center) {
+		t.Fatalf("%s: joins or centers differ from a fresh bootstrap's", msg)
+	}
+	if len(got.phases) != len(want.phases) {
+		t.Fatalf("%s: %d tables, fresh bootstrap has %d", msg, len(got.phases), len(want.phases))
+	}
+	for p, pf := range got.phases {
+		wf := want.phases[p]
+		if pf.trunc != wf.trunc || pf.maxFl != wf.maxFl || pf.maxCnt != wf.maxCnt {
+			t.Fatalf("%s: phase %d radius stats (%d,%d,%d), fresh (%d,%d,%d)", msg, p,
+				pf.trunc, pf.maxFl, pf.maxCnt, wf.trunc, wf.maxFl, wf.maxCnt)
+		}
+		if len(pf.verts) != len(wf.verts) || len(pf.final) != len(pf.verts) {
+			t.Fatalf("%s: phase %d has %d rows (%d finals), fresh has %d", msg, p, len(pf.verts), len(pf.final), len(wf.verts))
+		}
+		for i, v := range pf.verts {
+			if pf.pos[v] != int32(i) {
+				t.Fatalf("%s: phase %d row %d holds vertex %d indexed at %d", msg, p, i, v, pf.pos[v])
+			}
+		}
+		for v := range int32(got.n) {
+			gs, gok := pf.lookup(v)
+			ws, wok := wf.lookup(v)
+			if gok != wok || gs != ws {
+				t.Fatalf("%s: phase %d vertex %d final %+v (%v), fresh %+v (%v)", msg, p, v, gs, gok, ws, wok)
+			}
+		}
+	}
+	return len(got.phases)
+}
+
+// TestRepairHandsOnFreshTables: the next repair trusts the tables a repair
+// hands on, so across chained repairs they must equal a fresh bootstrap's
+// on the mutated graph — not only the partition must.
+func TestRepairHandsOnFreshTables(t *testing.T) {
+	rng := randx.New(0x7ab1e)
+	tables, fellBack := 0, 0
+	for _, o := range repairOpts {
+		for _, g := range []*graph.Graph{gen.GnpConnected(rng, 150, 0.03), gen.Torus(32, 32)} {
+			_, st, err := RunRepairable(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := 0; round < 12; round++ {
+				changes := randomChanges(rng, g, 1+rng.Intn(8))
+				g2 := applyChanges(g, changes)
+				_, st2, stats, err := Repair(g2, o, st, changes, RepairConfig{MaxDamageFraction: 1})
+				if err != nil {
+					t.Fatalf("variant %v n=%d round %d: %v", o.Variant, g.N(), round, err)
+				}
+				if stats.FellBack {
+					fellBack++
+				}
+				_, fresh, err := RunRepairable(g2, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tables += requireSameState(t, st2, fresh, fmt.Sprintf("variant %v n=%d round %d", o.Variant, g.N(), round))
+				g, st = g2, st2
+			}
+		}
+	}
+	t.Logf("compared %d tables; %d of %d repairs fell back", tables, fellBack, 2*12*len(repairOpts))
+}
+
+// TestRepairConsumesState: Repair moves the tables out of the state it is
+// given, so passing that state again recomputes — and is still exact.
+func TestRepairConsumesState(t *testing.T) {
+	rng := randx.New(6)
+	o := Options{Variant: Theorem1, K: 4, C: 4, Seed: 3, ForceComplete: true}
+	g := gen.GnpConnected(rng, 100, 0.05)
+	_, st, err := RunRepairable(g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changes := randomChanges(rng, g, 3)
+	g2 := applyChanges(g, changes)
+	if _, _, stats, err := Repair(g2, o, st, changes, RepairConfig{MaxDamageFraction: 1}); err != nil || stats.FellBack {
+		t.Fatalf("first repair: err %v, stats %+v", err, stats)
+	}
+	got, _, stats, err := Repair(g2, o, st, changes, RepairConfig{MaxDamageFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.FellBack {
+		t.Fatalf("second repair from a consumed state did not fall back: %+v", stats)
+	}
+	want, err := Run(g2, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRepairEquivalent(t, got, want, "consumed-state repair")
 }
 
 // TestRepairNilStateFallsBack: with no prior state the repair degrades to
@@ -252,21 +355,6 @@ func TestRepairValidatesChanges(t *testing.T) {
 		if _, _, _, err := Repair(g, o, st, changes, RepairConfig{}); err == nil {
 			t.Fatalf("Repair accepted malformed changes %+v", changes)
 		}
-	}
-}
-
-// TestNewRepairStateRequiresTrace: state can only be derived from a traced
-// run.
-func TestNewRepairStateRequiresTrace(t *testing.T) {
-	rng := randx.New(4)
-	o := Options{Variant: Theorem1, K: 3, C: 4, Seed: 1}
-	g := gen.GnpConnected(rng, 40, 0.08)
-	dec, err := Run(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewRepairState(dec); err == nil || !strings.Contains(err.Error(), "CaptureTrace") {
-		t.Fatalf("NewRepairState without trace: err %v", err)
 	}
 }
 

@@ -37,11 +37,12 @@ type Exec struct {
 	// (the runner's full state array, valid on aliveList entries, read-only,
 	// invalidated by the next phase) right after the phase's rounds run and
 	// before the join rule prunes the alive set, together with the phase's
-	// radius draws (same validity). The repair path captures these as the
-	// reference states incremental delta simulation replays and certifies
-	// against, plus the per-phase radius statistics it maintains
-	// incrementally; unexported because topTwo is an internal of the phase
-	// simulation.
+	// radius draws (same validity). The repair bootstrap (RunRepairable)
+	// tables these as the reference states incremental delta simulation
+	// replays and certifies against, with the per-phase radius statistics
+	// it maintains incrementally, and derives each vertex's join phase and
+	// center from them; unexported because topTwo is an internal of the
+	// phase simulation.
 	phaseFinal func(phase int, aliveList []int32, state []topTwo, radius []float64)
 	// Recorder, when non-nil, reports the run into the telemetry layer:
 	// one span per phase (nested under the recorder's parent span, which

@@ -3,11 +3,13 @@ package dyn
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"netdecomp/internal/decomp"
 	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
+	"netdecomp/internal/graph"
 	"netdecomp/internal/obs"
 	"netdecomp/internal/randx"
 )
@@ -316,4 +318,92 @@ func TestMaintainerTelemetry(t *testing.T) {
 	if nsCount != 3 {
 		t.Fatalf("latency histogram count = %d, want 3", nsCount)
 	}
+}
+
+// TestMaintainerHeapPlateau pins that a maintainer retains state for its
+// current graph only, not for every update it has served: under
+// torus churn its live heap stops growing once the churn is steady. Each
+// 1% batch undoes its predecessor, then fails q torus links and adds q
+// shortcuts, so the graph itself never grows.
+func TestMaintainerHeapPlateau(t *testing.T) {
+	const side, updates, settled = 128, 60, 10
+	ctx := context.Background()
+	g := gen.Torus(side, side)
+	pl, err := decomp.Compile("elkin-neiman", decomp.WithSeed(11), decomp.WithForceComplete())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintainer(ctx, pl, g, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge := func(op Op, u, v int) Mutation {
+		if u > v {
+			u, v = v, u
+		}
+		return Mutation{Op: op, U: int32(u), V: int32(v)}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	n, q := side*side, graph.EdgeCount(g)/100/4
+	rng := randx.New(0x4ea9)
+	var failed, shortcuts []Mutation
+	var heapSettled uint64
+	for u := 1; u <= updates; u++ {
+		var batch Batch
+		for _, f := range failed {
+			batch = append(batch, Mutation{Op: OpInsert, U: f.U, V: f.V})
+		}
+		for _, s := range shortcuts {
+			batch = append(batch, Mutation{Op: OpDelete, U: s.U, V: s.V})
+		}
+		seen := map[Mutation]bool{}
+		failed, shortcuts = failed[:0], shortcuts[:0]
+		for len(failed) < q {
+			v := rng.Intn(n)
+			r, c := v/side, v%side
+			w := r*side + (c+1)%side
+			if rng.Intn(2) == 0 {
+				w = (r+1)%side*side + c
+			}
+			if f := edge(OpDelete, v, w); !seen[f] {
+				seen[f] = true
+				failed = append(failed, f)
+			}
+		}
+		for len(shortcuts) < q {
+			v, w := rng.Intn(n), rng.Intn(n)
+			if v == w || rowHas(g.Neighbors(v), int32(w)) {
+				continue
+			}
+			if s := edge(OpInsert, v, w); !seen[s] {
+				seen[s] = true
+				shortcuts = append(shortcuts, s)
+			}
+		}
+		batch = append(append(batch, failed...), shortcuts...)
+		next, res, err := Wrap(m.Graph()).Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := m.Update(ctx, next.Compact(), res.Effective); err != nil {
+			t.Fatalf("update %d: %v", u, err)
+		}
+		switch u {
+		case settled:
+			heapSettled = liveHeap()
+		case updates:
+			heap := liveHeap()
+			t.Logf("live heap %.1f MB at update %d, %.1f MB at update %d",
+				float64(heapSettled)/(1<<20), settled, float64(heap)/(1<<20), updates)
+			if float64(heap) > 1.25*float64(heapSettled)+(1<<20) {
+				t.Fatalf("live heap grew from %d B at update %d to %d B at update %d", heapSettled, settled, heap, updates)
+			}
+		}
+	}
+	runtime.KeepAlive(m)
 }
