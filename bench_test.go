@@ -110,9 +110,9 @@ func BenchmarkF3RoundsScaling(b *testing.B) { benchDriver(b, "F3") }
 //
 // The benchmarks below target the graph layer itself rather than a paper
 // table: construction from an edge list, single-source BFS, full edge
-// materialization, and one end-to-end elkin-neiman decomposition. Their
-// before/after numbers across the CSR redesign are recorded in
-// BENCH_csr.json (compare with cmd/benchdiff).
+// materialization, and one end-to-end elkin-neiman decomposition. They are
+// informational graph rows of BENCH_gates.json, recorded after the CSR
+// redesign (see cmd/benchdiff).
 
 func csrBenchEdges() (int, [][2]int) {
 	g := netdecomp.GnpConnected(netdecomp.NewRNG(1), 4096, 8.0/4095)
@@ -177,10 +177,9 @@ func BenchmarkElkinNeimanE2E2048(b *testing.B) {
 // Large-scale workloads targeting the two hot loops — the per-phase
 // broadcast simulation (core/phaseRunner.run) and the CONGEST engine
 // (internal/dist) — at sizes where O(n)-per-round scanning and
-// per-envelope mailbox churn dominate. Before/after numbers across the
-// frontier-sparse + arena-mailbox rebuild are recorded in
-// BENCH_hotpath.json; CI regression-gates these with cmd/benchdiff
-// -threshold.
+// per-envelope mailbox churn dominate. The 2^16 workloads are gated rows
+// of BENCH_gates.json, recorded after the frontier-sparse + arena-mailbox
+// rebuild; CI runs them through cmd/benchdiff.
 
 // hotpathRun drives one registry algorithm over a fixed graph, varying the
 // seed per iteration.
@@ -243,11 +242,9 @@ func BenchmarkHotpathPowerLawDist65536(b *testing.B) {
 // --- Telemetry overhead benchmarks ---------------------------------------
 //
 // The same hot-path workloads with a metrics recorder attached, against
-// the recorder-less runs above. Named outside the BenchmarkHotpath*
-// pattern so the hot-path regression gate keeps measuring the telemetry-
-// off path alone; the off-vs-on pairs are recorded in BENCH_obs.json and
-// CI gates the off path against it at -threshold 0.05 with a zero-growth
-// allocs/op bound (disabled telemetry must cost one nil test, not
+// the recorder-less runs above. They are informational rows of
+// BENCH_gates.json; the recorder-less rows carry the telemetry-off gate,
+// 0.2% on allocs/op (disabled telemetry must cost one nil test, not
 // allocations).
 
 // BenchmarkObsHotpathSim65536 is BenchmarkHotpathSim65536 with per-round
@@ -269,10 +266,10 @@ func BenchmarkObsHotpathDist65536(b *testing.B) {
 // --- Session benchmarks -------------------------------------------------
 //
 // The serving-layer pair: the cache-hit path (one fingerprint lookup plus
-// a defensive Partition.Clone — the per-request cost a warm deployment
-// pays) against the cold-miss path (a full decomposition per request).
-// Before/after-free absolute numbers are recorded in BENCH_session.json;
-// CI gates the hit path with cmd/benchdiff so it stays allocation-light.
+// a fresh Partition materialized from the cached frozen entry — the
+// per-request cost a warm deployment pays) against the cold-miss path (a
+// full decomposition per request). Both are rows of BENCH_gates.json; the
+// hit path is gated so it stays allocation-light.
 
 // BenchmarkSessionCacheHit serves the identical (graph, plan, seed) job
 // from a warm session: every iteration must be a cache hit.

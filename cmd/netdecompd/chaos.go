@@ -100,7 +100,7 @@ func runChaos(ctx context.Context, w io.Writer, opts serve.Options, cfg chaosCon
 	fmt.Fprintf(w, "netdecompd: chaos harness on %s (store %s)\n", base, opts.StorePath)
 
 	// Prime.
-	gk, pk, err := serve.RegisterDefaultWorkload(ctx, base)
+	gk, pk, err := registerDefaultWorkload(ctx, base)
 	if err != nil {
 		s.Close()
 		return fmt.Errorf("chaos prime: %w", err)
@@ -233,6 +233,44 @@ func runChaos(ctx context.Context, w io.Writer, opts serve.Options, cfg chaosCon
 		return fmt.Errorf("chaos: %d violations", v)
 	}
 	return nil
+}
+
+// registerDefaultWorkload registers the chaos workload — a gnp(n=1024,
+// seed=1) graph and a forced-complete elkin-neiman plan — on the daemon at
+// baseURL and returns their keys.
+func registerDefaultWorkload(ctx context.Context, baseURL string) (graphKey, planKey string, err error) {
+	var gi serve.GraphInfo
+	if err := postWorkloadJSON(ctx, baseURL+"/v1/graphs", serve.GraphSpec{Family: "gnp", N: 1024, Seed: 1}, &gi); err != nil {
+		return "", "", err
+	}
+	var pi serve.PlanInfo
+	if err := postWorkloadJSON(ctx, baseURL+"/v1/plans", serve.PlanSpec{Algorithm: "elkin-neiman", ForceComplete: true}, &pi); err != nil {
+		return "", "", err
+	}
+	return gi.Fingerprint, pi.Plan, nil
+}
+
+// postWorkloadJSON is the minimal JSON round trip registration needs.
+func postWorkloadJSON(ctx context.Context, url string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("%s: status %d: %s", url, resp.StatusCode, msg)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // chaosDecompose posts one decompose request, returning status and body.

@@ -29,19 +29,6 @@
 //	            {"id":"re","recolor":{}},{"id":"mis","mis":{}},{"id":"sp","spanner":{}}],
 //	  "edges":[{"from":"dec","to":"re"},{"from":"re","to":"mis"},{"from":"dec","to":"sp"}]}}'
 //	curl -sN localhost:8080/v1/pipeline/stream -d @pipeline.json
-//
-// The built-in load generator replays a Zipf repeat/fresh mix against a
-// running daemon and prints hit/miss counts with warm-path latency
-// quantiles (the numbers BENCH_serve.json records):
-//
-//	netdecompd -loadgen http://localhost:8080 -clients 8 -requests 512
-//
-// With -churn the mix includes graph mutation batches: a fraction of
-// requests POST random edge insertions/deletions to the current graph
-// version and swap the shared fingerprint for the returned one, so the
-// decompose traffic chases a moving graph through the versioned-key API:
-//
-//	netdecompd -loadgen http://localhost:8080 -churn 0.05 -churn-batch 4
 package main
 
 import (
@@ -94,37 +81,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	chaosErrorRate := fs.Float64("chaos-error-rate", 0.10, "with -chaos: fraction of executions failed with an injected error")
 	chaosPanicRate := fs.Float64("chaos-panic-rate", 0.10, "with -chaos: fraction of executions killed by an injected panic")
 	chaosFlushErrorRate := fs.Float64("chaos-flush-error-rate", 0.10, "with -chaos: fraction of snapshot writes failed")
-	loadgen := fs.String("loadgen", "", "run as a load generator against this base URL instead of serving")
-	clients := fs.Int("clients", 8, "with -loadgen: concurrent clients")
-	requests := fs.Int("requests", 256, "with -loadgen: total request count")
-	seeds := fs.Int("seeds", 16, "with -loadgen: hot-set size (Zipf over seeds 0..N-1)")
-	zipfS := fs.Float64("zipf", 1.3, "with -loadgen: Zipf skew (>1; larger = hotter head)")
-	fresh := fs.Float64("fresh", 0.05, "with -loadgen: fraction of requests using a brand-new seed")
-	lgGraph := fs.String("graph", "", "with -loadgen: registered graph fingerprint (empty = register gnp n=1024 seed=1)")
-	lgPlan := fs.String("plan", "", "with -loadgen: registered plan key (empty = register elkin-neiman forced-complete)")
-	lgSeed := fs.Uint64("seed", 1, "with -loadgen: generator randomness seed")
-	churn := fs.Float64("churn", 0, "with -loadgen: fraction of requests that post a mutation batch to the current graph version (0 = static graph)")
-	churnBatch := fs.Int("churn-batch", 4, "with -loadgen -churn: mutations per batch")
-	churnN := fs.Int("churn-n", 0, "with -loadgen -churn: vertex-id bound for random mutations (0 = default workload's 1024)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *loadgen != "" {
-		return runLoadgen(ctx, w, *loadgen, serve.LoadOptions{
-			Clients:       *clients,
-			Requests:      *requests,
-			Graph:         *lgGraph,
-			Plan:          *lgPlan,
-			Seeds:         *seeds,
-			ZipfS:         *zipfS,
-			FreshFraction: *fresh,
-			Seed:          *lgSeed,
-			ChurnFraction: *churn,
-			ChurnBatch:    *churnBatch,
-			ChurnN:        *churnN,
-		})
-	}
 	opts := serve.Options{
 		Workers:       *workers,
 		CacheSize:     *cache,
@@ -215,28 +175,4 @@ func runServer(ctx context.Context, w io.Writer, opts serve.Options, addr string
 		s.Close()
 		return err
 	}
-}
-
-// runLoadgen drives a running daemon, registering the default workload
-// when no graph/plan keys were provided.
-func runLoadgen(ctx context.Context, w io.Writer, baseURL string, opt serve.LoadOptions) error {
-	if opt.Graph == "" || opt.Plan == "" {
-		gk, pk, err := serve.RegisterDefaultWorkload(ctx, baseURL)
-		if err != nil {
-			return fmt.Errorf("registering default workload: %w", err)
-		}
-		if opt.Graph == "" {
-			opt.Graph = gk
-		}
-		if opt.Plan == "" {
-			opt.Plan = pk
-		}
-		fmt.Fprintf(w, "loadgen  : registered graph=%s plan=%s\n", opt.Graph, opt.Plan)
-	}
-	rep, err := serve.RunLoad(ctx, baseURL, opt)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, rep)
-	return nil
 }

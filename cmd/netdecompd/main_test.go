@@ -183,26 +183,6 @@ func TestDaemonStoreSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestDaemonLoadgenMode drives a served daemon with the -loadgen entry
-// point and checks the report reaches the output.
-func TestDaemonLoadgenMode(t *testing.T) {
-	base, shutdown := startDaemon(t)
-	defer shutdown()
-
-	var out bytes.Buffer
-	err := run(context.Background(), []string{
-		"-loadgen", base, "-clients", "2", "-requests", "24", "-seeds", "4",
-	}, &out)
-	if err != nil {
-		t.Fatalf("loadgen: %v\n%s", err, out.String())
-	}
-	for _, want := range []string{"loadgen  : registered graph=", "requests / 2 clients", "warm hits"} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("loadgen output missing %q:\n%s", want, out.String())
-		}
-	}
-}
-
 // TestDaemonDrainAccounting pins the graceful-shutdown path: SIGTERM (via
 // context cancel) drains within -drain-timeout and logs the completed/
 // abandoned split plus the clean-drain marker the CI smoke job greps.

@@ -197,16 +197,3 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*pa
 	part.Complete = aliveCount == 0
 	return part, nil
 }
-
-// insertionSortInts sorts small slices in place.
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
-}

@@ -100,19 +100,7 @@ func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*partitio
 		}
 	}
 
-	// Group into clusters by winner, ordered by center id.
-	byCenter := make(map[int][]int, n/4+1)
-	for y := 0; y < n; y++ {
-		byCenter[winner[y]] = append(byCenter[winner[y]], y)
-	}
-	centers := make([]int, 0, len(byCenter))
-	for c := range byCenter {
-		centers = append(centers, c)
-	}
-	insertionSortInts(centers)
-	for _, c := range centers {
-		addCluster(res, byCenter[c], c, 0, 0)
-	}
+	addClustersByWinner(res, winner)
 	res.Metrics.Rounds = int(math.Ceil(slices.Max(delta)))
 	finishMPX(g, res, winner)
 	return res, nil
@@ -126,6 +114,34 @@ func newMPXPartition(algorithm string, n int) *partition.Partition {
 	p.ProperColors = false
 	p.Complete = true
 	return p
+}
+
+// addClustersByWinner adds one cluster per elected center of winner, the
+// centers ascending and each cluster's members ascending. One counting pass
+// does the grouping (winners are vertex ids, so the buckets are dense) and
+// the clusters are carved out of one backing array — the same two-pass
+// count/fill the engine's mailboxes and the core cluster assembly use.
+func addClustersByWinner(p *partition.Partition, winner []int) {
+	n := len(winner)
+	offsets := make([]int, n+1)
+	for _, c := range winner {
+		offsets[c+1]++
+	}
+	for c := 0; c < n; c++ {
+		offsets[c+1] += offsets[c]
+	}
+	members := make([]int, n)
+	cursor := make([]int, n)
+	copy(cursor, offsets[:n])
+	for v, c := range winner {
+		members[cursor[c]] = v
+		cursor[c]++
+	}
+	for c := 0; c < n; c++ {
+		if lo, hi := offsets[c], offsets[c+1]; lo < hi {
+			addCluster(p, members[lo:hi:hi], c, 0, 0)
+		}
+	}
 }
 
 // finishMPX records the one color class and phase of the clustering that

@@ -146,31 +146,7 @@ func MPXOnEngine(ctx context.Context, g graph.Interface, o MPXOptions, engineOpt
 		return nil, fmt.Errorf("baseline: MPX engine execution failed: %w", err)
 	}
 
-	// Group vertices into clusters by elected center with one counting
-	// pass (winners are vertex ids, so the buckets are dense): members
-	// land ascending within each center and the centers are walked
-	// ascending, carved out of one backing array — the same two-pass
-	// count/fill trick the engine's mailboxes and the core cluster
-	// assembly use, replacing a map of growing per-center slices.
-	offsets := make([]int, n+1)
-	for v := 0; v < n; v++ {
-		offsets[p.winner[v]+1]++
-	}
-	for c := 0; c < n; c++ {
-		offsets[c+1] += offsets[c]
-	}
-	members := make([]int, n)
-	cursor := make([]int, n)
-	copy(cursor, offsets[:n])
-	for v := 0; v < n; v++ {
-		members[cursor[p.winner[v]]] = v
-		cursor[p.winner[v]]++
-	}
-	for c := 0; c < n; c++ {
-		if lo, hi := offsets[c], offsets[c+1]; lo < hi {
-			addCluster(res, members[lo:hi:hi], c, 0, 0)
-		}
-	}
+	addClustersByWinner(res, p.winner)
 	res.Metrics = metrics
 	finishMPX(g, res, p.winner)
 	return res, nil

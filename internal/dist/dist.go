@@ -112,8 +112,8 @@ type Options struct {
 	// traced span) one instant trace event per round. It reports the same
 	// numbers as RoundStats, into the unified registry instead of a
 	// callback. The disabled path is a single nil test per round — the
-	// engine stays allocation-free with telemetry off, which
-	// BENCH_obs.json records and CI gates.
+	// engine stays allocation-free with telemetry off, which the
+	// hot-path rows of BENCH_gates.json gate.
 	Recorder *obs.RoundRecorder
 }
 

@@ -21,9 +21,9 @@
 // *Histogram or *RoundRecorder accepts every call as a no-op, so
 // instrumented code needs no conditionals — and the hot paths (the engine
 // commit loop, the phase runner's round loop) pay exactly one pointer
-// test per round when telemetry is off. BENCH_obs.json records that the
-// telemetry-off hot-path benchmarks are unchanged from BENCH_hotpath.json
-// (within noise, zero extra allocations); CI gates it.
+// test per round when telemetry is off. The telemetry-off hot-path rows of
+// BENCH_gates.json hold that contract: CI fails them when allocations per
+// op grow by more than 0.2%.
 package obs
 
 import "sync/atomic"

@@ -11,8 +11,8 @@ import (
 // BenchmarkPipelineWarmRerun measures a full pipeline re-run against a
 // warm session: every decompose stage is a cache hit, so the cost is the
 // derived stages (recolor, apps, spanner, cover assembly) plus the
-// executor's scheduling — the interactive re-run path BENCH_pipeline.json
-// gates in CI.
+// executor's scheduling — the interactive re-run path, a gated row of
+// BENCH_gates.json.
 func BenchmarkPipelineWarmRerun(b *testing.B) {
 	g := testGraph(b, 1024, 1)
 	p := fanoutPipeline(b, 7)

@@ -46,9 +46,11 @@ func benchServer(b *testing.B, opts Options) (base, gk, pk string) {
 	return ts.URL, gi.Fingerprint, pi.Plan
 }
 
-// BenchmarkServeWarmHit measures the full warm serving path — HTTP round
-// trip, cache lookup, partition clone, stable JSON response — the p50/p99
-// numbers BENCH_serve.json gates.
+// BenchmarkServeWarmHit measures the full warm serving path as a client
+// sees it — HTTP round trip, cache lookup, the frozen entry encoded into a
+// pooled buffer, and the client-side decode of the DecomposeResponse, which
+// is most of its allocations. Its bounds are the serve rows of
+// BENCH_gates.json.
 func BenchmarkServeWarmHit(b *testing.B) {
 	base, gk, pk := benchServer(b, Options{Workers: 2})
 	body, _ := json.Marshal(DecomposeRequest{Graph: gk, Plan: pk})
@@ -64,6 +66,64 @@ func BenchmarkServeWarmHit(b *testing.B) {
 			b.Fatal("warm path missed the cache")
 		}
 	}
+}
+
+// BenchmarkServeWarmHitRaw is BenchmarkServeWarmHit without the client's
+// JSON decode, so its allocations are the server's warm path plus the HTTP
+// round trip. Every answer is read raw and must say "cacheHit":true and
+// match the primed answer byte for byte from its partition onward (the
+// fields before it carry the varying latencyNs).
+func BenchmarkServeWarmHitRaw(b *testing.B) {
+	base, gk, pk := benchServer(b, Options{Workers: 2})
+	body, _ := json.Marshal(DecomposeRequest{Graph: gk, Plan: pk})
+	client := &http.Client{}
+	var buf bytes.Buffer
+	want := bytes.Clone(partitionTail(b, doRawRequest(b, client, base, body, &buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got := doRawRequest(b, client, base, body, &buf)
+		if !bytes.Contains(got, cacheHitTrue) {
+			b.Fatal("warm path missed the cache")
+		}
+		if !bytes.Equal(partitionTail(b, got), want) {
+			b.Fatal("warm hit answered a different partition")
+		}
+	}
+}
+
+var (
+	cacheHitTrue = []byte(`"cacheHit":true`)
+	partitionKey = []byte(`,"partition":`)
+)
+
+// doRawRequest posts one decompose request and returns the response body, read
+// into buf.
+func doRawRequest(b *testing.B, client *http.Client, base string, body []byte, buf *bytes.Buffer) []byte {
+	b.Helper()
+	resp, err := client.Post(base+"/v1/decompose", "application/json", bytes.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		b.Fatalf("status %d", resp.StatusCode)
+	}
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// partitionTail returns doc from its partition field onward.
+func partitionTail(b *testing.B, doc []byte) []byte {
+	b.Helper()
+	i := bytes.Index(doc, partitionKey)
+	if i < 0 {
+		b.Fatalf("no partition in %.200s", doc)
+	}
+	return doc[i:]
 }
 
 // BenchmarkServeColdMiss measures the full cold path: every request uses a

@@ -358,33 +358,6 @@ func readSSE(t *testing.T, r interface{ Read([]byte) (int, error) }) ([]roundEve
 	return rounds, result
 }
 
-func TestLoadGenAgainstServer(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 4, CacheSize: 64})
-	gk, pk := register(t, ts.URL)
-	rep, err := RunLoad(t.Context(), ts.URL, LoadOptions{
-		Clients: 4, Requests: 60, Graph: gk, Plan: pk,
-		Seeds: 4, FreshFraction: 0.1, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("load run had %d errors", rep.Errors)
-	}
-	if rep.Requests != 60 {
-		t.Fatalf("want 60 requests, got %d", rep.Requests)
-	}
-	if rep.Hits == 0 || rep.Misses == 0 {
-		t.Fatalf("zipf mix should produce both hits and misses: %+v", rep)
-	}
-	if rep.Hits+rep.Misses != rep.Requests {
-		t.Fatalf("accounting: %+v", rep)
-	}
-	if rep.WarmP50Ns <= 0 || rep.WarmP99Ns < rep.WarmP50Ns {
-		t.Fatalf("warm quantiles: %+v", rep)
-	}
-}
-
 // TestServerSharedSessionDedup: the server serves concurrent identical
 // requests through one execution (the session's singleflight), visible in
 // the dedup counter.

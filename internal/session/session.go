@@ -67,27 +67,28 @@ func KeyFor(pl *decomp.Plan, g graph.Interface) Key {
 // Stats is a point-in-time snapshot of the session counters. The same
 // numbers — plus the latency histograms — live in the session's telemetry
 // registry (Registry) under the session.* names; Stats remains as the
-// programmatic convenience view.
+// programmatic convenience view. Its JSON document is byte-stable:
+// encoding/json emits the tagged fields in declaration order.
 type Stats struct {
 	// Hits counts submissions served from the completed-result cache.
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Misses counts submissions that scheduled a fresh execution.
-	Misses uint64
+	Misses uint64 `json:"misses"`
 	// Dedups counts submissions that attached to an identical in-flight
 	// execution instead of scheduling their own.
-	Dedups uint64
+	Dedups uint64 `json:"dedups"`
 	// Evictions counts cache entries displaced by the LRU bound.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 	// ObserverPanics counts observer callbacks that panicked during the
 	// round fan-out and were disabled (see SubmitObserved).
-	ObserverPanics uint64
+	ObserverPanics uint64 `json:"observerPanics"`
 	// ExecPanics counts executions that panicked and were converted into
 	// per-key errors instead of crashing the process (see WithRunner).
-	ExecPanics uint64
+	ExecPanics uint64 `json:"execPanics"`
 	// InFlight is the number of executions currently scheduled or running.
-	InFlight int
+	InFlight int `json:"inFlight"`
 	// Cached is the number of completed results currently held.
-	Cached int
+	Cached int `json:"cached"`
 }
 
 // Option configures a Session.

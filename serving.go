@@ -1,7 +1,6 @@
 package netdecomp
 
 import (
-	"context"
 	"io"
 	"net/http"
 
@@ -37,19 +36,6 @@ type ServerOptions = serve.Options
 // persistent store when configured (a corrupt snapshot boots cold, never
 // fails), and wires the API routes. Close it to flush and shut down.
 func NewServer(opts ServerOptions) *Server { return serve.New(opts) }
-
-// LoadOptions shapes one RunLoad invocation.
-type LoadOptions = serve.LoadOptions
-
-// LoadReport is the outcome of one RunLoad run.
-type LoadReport = serve.LoadReport
-
-// RunLoad replays a Zipf repeat/fresh request mix against the daemon at
-// baseURL with N concurrent clients — the load-generator harness behind
-// netdecompd -loadgen and BENCH_serve.json.
-func RunLoad(ctx context.Context, baseURL string, opt LoadOptions) (*LoadReport, error) {
-	return serve.RunLoad(ctx, baseURL, opt)
-}
 
 // MountDebug adds the shared observability routes — /metrics (Prometheus
 // text), /debug/vars (expvar) and /debug/pprof/ — to mux, serving reg.
