@@ -49,9 +49,11 @@ type mpxProgram struct {
 	winner  []int
 	value   []float64
 	changed []bool
-	// outBuf[v] is v's reusable outbox, borrowed by the engine until
-	// commit (see dist.Program) and recycled on v's next Step.
-	outBuf [][]dist.Envelope[MPXMsg]
+	// send[v] is v's one reusable Send, to its whole adjacency row:
+	// borrowed by the engine until commit (see dist.Program) and recycled
+	// on v's next Step. The row is the graph's own, which the engine
+	// never writes.
+	send []dist.Send[MPXMsg]
 }
 
 func newMPXProgram(g graph.Interface, delta []float64) *mpxProgram {
@@ -61,21 +63,9 @@ func newMPXProgram(g graph.Interface, delta []float64) *mpxProgram {
 		winner:  make([]int, n),
 		value:   make([]float64, n),
 		changed: make([]bool, n),
-		outBuf:  make([][]dist.Envelope[MPXMsg], n),
+		send:    make([]dist.Send[MPXMsg], n),
 	}
-	// Carve every node's outbox out of one flat arena with capacity equal
-	// to its degree (the exact fan-out of a broadcast step), so the whole
-	// run performs no per-Step outbox allocation at all.
-	total := 0
 	for v := 0; v < n; v++ {
-		total += g.Degree(v)
-	}
-	arena := make([]dist.Envelope[MPXMsg], total)
-	off := 0
-	for v := 0; v < n; v++ {
-		d := g.Degree(v)
-		p.outBuf[v] = arena[off : off : off+d]
-		off += d
 		p.winner[v] = v
 		p.value[v] = delta[v]
 		p.changed[v] = true
@@ -91,7 +81,7 @@ func (p *mpxProgram) NumNodes() int { return p.g.N() }
 
 // Step implements dist.Program: merge the neighbors' decremented offers,
 // then forward the node's best pair if it improved and can still travel.
-func (p *mpxProgram) Step(node, round int, in []dist.Envelope[MPXMsg]) ([]dist.Envelope[MPXMsg], bool) {
+func (p *mpxProgram) Step(node, round int, in []dist.Envelope[MPXMsg]) ([]dist.Send[MPXMsg], bool) {
 	if round > 0 {
 		ch := false
 		for _, env := range in {
@@ -110,12 +100,8 @@ func (p *mpxProgram) Step(node, round int, in []dist.Envelope[MPXMsg]) ([]dist.E
 		return nil, halt
 	}
 	msg := MPXMsg{Center: int32(p.winner[node]), Value: p.value[node] - 1}
-	out := p.outBuf[node][:0]
-	for _, w := range p.g.Neighbors(node) {
-		out = append(out, dist.Envelope[MPXMsg]{From: node, To: int(w), Payload: msg})
-	}
-	p.outBuf[node] = out
-	return out, halt
+	p.send[node] = dist.Send[MPXMsg]{To: p.g.Neighbors(node), Payload: msg}
+	return p.send[node : node+1], halt
 }
 
 // MPXOnEngine computes the same Miller–Peng–Xu partition as MPX, but as a

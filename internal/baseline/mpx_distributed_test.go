@@ -17,7 +17,7 @@ func TestMPXDistributedMatchesExact(t *testing.T) {
 	// The round-based top-1 forwarding implementation and the heap-based
 	// shifted Dijkstra are independent algorithms for the same partition
 	// (they share only the shift draw); they must agree on every cluster
-	// and cut edge.
+	// and cut edge, on either engine scheduler.
 	graphs := []*graph.Graph{
 		gen.GnpConnected(randx.New(1), 250, 0.015),
 		gen.Grid(14, 14),
@@ -32,15 +32,17 @@ func TestMPXDistributedMatchesExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				distr, err := MPXOnEngine(context.Background(), g, MPXOptions{Beta: beta, Seed: seed}, dist.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(exact.Clusters, distr.Clusters) {
-					t.Fatalf("graph %d seed %d beta %v: clusters differ", gi, seed, beta)
-				}
-				if exact.CutEdges != distr.CutEdges {
-					t.Fatalf("graph %d seed %d: cut edges %d vs %d", gi, seed, exact.CutEdges, distr.CutEdges)
+				for _, eo := range []dist.Options{{}, {Parallel: true, Workers: 4}} {
+					distr, err := MPXOnEngine(context.Background(), g, MPXOptions{Beta: beta, Seed: seed}, eo)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(exact.Clusters, distr.Clusters) {
+						t.Fatalf("graph %d seed %d beta %v engine %+v: clusters differ", gi, seed, beta, eo)
+					}
+					if exact.CutEdges != distr.CutEdges {
+						t.Fatalf("graph %d seed %d engine %+v: cut edges %d vs %d", gi, seed, eo, exact.CutEdges, distr.CutEdges)
+					}
 				}
 			}
 		}

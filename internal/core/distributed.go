@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"netdecomp/internal/dist"
 	"netdecomp/internal/graph"
@@ -38,9 +38,9 @@ func (m Msg) Words() int {
 var _ dist.WordCounter = Msg{}
 
 // program is the per-node state machine of the decomposition algorithm,
-// executed by the internal/dist engine. Every slice is indexed by node;
-// Step(node, ...) touches only index node, so the parallel scheduler needs
-// no extra synchronization.
+// executed by the internal/dist engine. Every slice is indexed by node, or
+// (alive) by node's own window; Step(node, ...) touches only node's
+// entries, so the parallel scheduler needs no extra synchronization.
 type program struct {
 	g         graph.Interface
 	opts      Options
@@ -53,16 +53,18 @@ type program struct {
 	joinedPhase []int // -1 while unclustered
 	center      []int
 
-	// nbrAlive[nbrOff[v]+i] reports whether v's i-th neighbor is still in
-	// the surviving graph: one flat arena aligned with the adjacency rows,
-	// so Step(node, ...) writes only node's own window and the parallel
-	// scheduler stays race-free.
+	// alive[nbrOff[v] : nbrOff[v]+aliveLen[v]] is v's row of neighbors
+	// still in the surviving graph, ascending: an int32 copy of the
+	// adjacency rows that departures shrink in place. Step(node, ...)
+	// writes only node's own row, so the parallel scheduler stays
+	// race-free, and the row is the receiver list of node's Sends.
 	nbrOff   []int64
-	nbrAlive []bool
+	alive    []int32
+	aliveLen []int32
 
-	// outBuf[v] is v's reusable outbox, borrowed by the engine until
+	// send[v] is v's one reusable Send, borrowed by the engine until
 	// commit (see dist.Program) and recycled on v's next Step.
-	outBuf [][]dist.Envelope[Msg]
+	send []dist.Send[Msg]
 }
 
 func newProgram(g graph.Interface, o Options, s schedule) *program {
@@ -82,42 +84,43 @@ func newProgram(g graph.Interface, o Options, s schedule) *program {
 		joinedPhase: make([]int, n),
 		center:      make([]int, n),
 		nbrOff:      make([]int64, n+1),
-		outBuf:      make([][]dist.Envelope[Msg], n),
+		aliveLen:    make([]int32, n),
+		send:        make([]dist.Send[Msg], n),
 	}
 	for v := 0; v < n; v++ {
 		p.joinedPhase[v] = -1
 		p.center[v] = none
 		p.nbrOff[v+1] = p.nbrOff[v] + int64(g.Degree(v))
+		p.aliveLen[v] = int32(g.Degree(v))
 	}
-	p.nbrAlive = make([]bool, p.nbrOff[n])
-	for i := range p.nbrAlive {
-		p.nbrAlive[i] = true
-	}
-	// Carve every node's outbox out of one flat arena with capacity equal
-	// to its degree (the exact fan-out of a broadcast or departure step),
-	// so no Step ever allocates an outbox.
-	arena := make([]dist.Envelope[Msg], p.nbrOff[n])
+	p.alive = make([]int32, p.nbrOff[n])
 	for v := 0; v < n; v++ {
-		lo, hi := p.nbrOff[v], p.nbrOff[v+1]
-		p.outBuf[v] = arena[lo:lo:hi]
+		copy(p.alive[p.nbrOff[v]:], g.Neighbors(v))
 	}
 	return p
 }
 
-// aliveRow returns node's window of the flat neighbor-liveness arena,
-// parallel to g.Neighbors(node).
-func (p *program) aliveRow(node int) []bool {
-	return p.nbrAlive[p.nbrOff[node]:p.nbrOff[node+1]]
+// aliveRow returns node's row of surviving neighbors, ascending.
+func (p *program) aliveRow(node int) []int32 {
+	lo := p.nbrOff[node]
+	return p.alive[lo : lo+int64(p.aliveLen[node])]
 }
 
-// markDeparted records that neighbor from left the surviving graph, by
-// binary search in node's sorted adjacency row.
+// markDeparted removes neighbor from from node's row of surviving
+// neighbors: a binary search, then a shift of the row's tail.
 func (p *program) markDeparted(node, from int) {
-	row := p.g.Neighbors(node)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(from) })
-	if i < len(row) && row[i] == int32(from) {
-		p.nbrAlive[p.nbrOff[node]+int64(i)] = false
+	row := p.aliveRow(node)
+	if i, ok := slices.BinarySearch(row, int32(from)); ok {
+		copy(row[i:], row[i+1:])
+		p.aliveLen[node]--
 	}
+}
+
+// sendTo makes msg node's one Send of the round, to every surviving
+// neighbor.
+func (p *program) sendTo(node int, msg Msg) []dist.Send[Msg] {
+	p.send[node] = dist.Send[Msg]{To: p.aliveRow(node), Payload: msg}
+	return p.send[node : node+1]
 }
 
 // NumNodes implements dist.Program.
@@ -132,9 +135,9 @@ func (p *program) beta(phase int) float64 {
 	return p.sched.betas[len(p.sched.betas)-1]
 }
 
-// sendEntries builds the broadcast fan-out of the node's current top-two
-// entries with value ≥ 1 to all live neighbors.
-func (p *program) sendEntries(node int, out []dist.Envelope[Msg]) []dist.Envelope[Msg] {
+// sendEntries broadcasts the node's current top-two entries with value
+// ≥ 1 to all surviving neighbors, or sends nothing when there are none.
+func (p *program) sendEntries(node int) []dist.Send[Msg] {
 	s := &p.state[node]
 	var msg Msg
 	if s.c1 != none && s.v1 >= 1 {
@@ -151,16 +154,9 @@ func (p *program) sendEntries(node int, out []dist.Envelope[Msg]) []dist.Envelop
 		}
 	}
 	if msg.NumEntries == 0 {
-		return out
+		return nil
 	}
-	alive := p.aliveRow(node)
-	for i, w := range p.g.Neighbors(node) {
-		if !alive[i] {
-			continue
-		}
-		out = append(out, dist.Envelope[Msg]{From: node, To: int(w), Payload: msg})
-	}
-	return out
+	return p.sendTo(node, msg)
 }
 
 // mergeInbox folds received broadcast entries into the node's state,
@@ -187,7 +183,7 @@ func (p *program) mergeInbox(node int, in []dist.Envelope[Msg]) bool {
 // phase, sub-round 0 draws the radius and starts the broadcast, sub-rounds
 // 1..k-1 forward top-two improvements, and sub-round k applies the join
 // rule and emits departures.
-func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Envelope[Msg], bool) {
+func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Send[Msg], bool) {
 	phase := round / p.phaseLen
 	sub := round % p.phaseLen
 
@@ -206,9 +202,7 @@ func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Envelop
 		p.radius[node] = randx.Exp(rng, p.beta(phase))
 		p.state[node].reset()
 		p.state[node].merge(node, p.radius[node])
-		out := p.sendEntries(node, p.outBuf[node][:0])
-		p.outBuf[node] = out
-		return out, false
+		return p.sendEntries(node), false
 	}
 
 	changed := p.mergeInbox(node, in)
@@ -217,25 +211,14 @@ func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Envelop
 		if !changed {
 			return nil, false
 		}
-		out := p.sendEntries(node, p.outBuf[node][:0])
-		p.outBuf[node] = out
-		return out, false
+		return p.sendEntries(node), false
 	}
 
 	// Decision sub-round.
 	if p.state[node].joins() {
 		p.joinedPhase[node] = phase
 		p.center[node] = p.state[node].c1
-		out := p.outBuf[node][:0]
-		alive := p.aliveRow(node)
-		for i, w := range p.g.Neighbors(node) {
-			if !alive[i] {
-				continue
-			}
-			out = append(out, dist.Envelope[Msg]{From: node, To: int(w), Payload: Msg{Depart: true}})
-		}
-		p.outBuf[node] = out
-		return out, true
+		return p.sendTo(node, Msg{Depart: true}), true
 	}
 	return nil, false
 }

@@ -48,8 +48,8 @@ type badProgram struct{ n int }
 
 func (p badProgram) NumNodes() int { return p.n }
 
-func (p badProgram) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Envelope[Msg], bool) {
-	return []dist.Envelope[Msg]{{From: node, To: p.n + 7, Payload: Msg{Depart: true}}}, true
+func (p badProgram) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Send[Msg], bool) {
+	return []dist.Send[Msg]{{To: []int32{int32(p.n + 7)}, Payload: Msg{Depart: true}}}, true
 }
 
 func TestEngineRejectsOutOfRangeMessages(t *testing.T) {

@@ -10,32 +10,38 @@
 // messages to be delivered in round r+1. Mailboxes are double-buffered, so
 // a Step never observes a message sent in its own round.
 //
-// Delivery is arena-backed: each round's messages live in one flat
-// envelope buffer with per-node rows laid out by a two-pass count/fill
-// commit, and a compact live-node list keeps every per-round cost —
-// stepping, commit, mailbox reset — proportional to the nodes still
-// running and the messages actually sent, never to the total node count.
+// A node sends by payload, not by receiver: Step returns one Send per
+// payload, each naming the receivers that get a copy of it. Delivery is
+// arena-backed: the commit stores each Send's sender and payload once,
+// routes a 4-byte payload index into every receiver's row of one flat
+// index arena (laid out by a two-pass count/fill commit), and gathers a
+// node's inbox from those indices when it steps. A compact live-node list
+// keeps every per-round cost — stepping, commit, mailbox reset —
+// proportional to the nodes still running and the messages actually sent,
+// never to the total node count.
 //
 // The engine is deliberately algorithm-agnostic. A program implements
 //
 //	NumNodes() int
-//	Step(node, round int, in []Envelope[M]) (out []Envelope[M], halt bool)
+//	Step(node, round int, in []Envelope[M]) (out []Send[M], halt bool)
 //
 // for a payload type M that can report its own CONGEST size in words.
 // Run drives the program with either a sequential scheduler or a
 // deterministic goroutine-pool scheduler (Options.Parallel); because each
-// node's outbox is committed in ascending node order regardless of which
-// goroutine produced it, both schedulers deliver bit-identical inboxes and
-// therefore execute bit-identical runs — the contract internal/randx
+// node's Sends are committed in ascending node order regardless of which
+// goroutine produced them, both schedulers deliver bit-identical inboxes
+// and therefore execute bit-identical runs — the contract internal/randx
 // documents and internal/core's equivalence tests assert. Programs must
 // keep Step(node, ...) confined to per-node state for the parallel
-// scheduler to be safe; the engine takes care of everything shared.
+// scheduler to be safe; the engine takes care of everything shared. The
+// returned Sends and their receiver lists are borrowed by the engine
+// until the round's commit (see Program).
 //
-// Run accounts CONGEST cost as it goes: total rounds, total messages,
-// total words and the largest single message (Metrics), plus an optional
-// per-round breakdown (Options.RecordRounds) used by examples/congest and
-// experiment T10. A program that emits a malformed envelope (receiver out
-// of range, or a forged sender) stops the run with an error rather than a
+// Run accounts CONGEST cost as it goes, per receiver: total rounds, total
+// messages, total words and the largest single message (Metrics), plus an
+// optional per-round breakdown (Options.RecordRounds) used by
+// examples/congest and experiment T10. A program that addresses a
+// receiver outside the id space stops the run with an error rather than a
 // panic, so a buggy node program cannot take down a harness process.
 package dist
 
@@ -48,31 +54,45 @@ type WordCounter interface {
 	Words() int
 }
 
-// Envelope is one point-to-point message in flight: sent by From during
-// some round, delivered to To at the start of the next round.
+// Envelope is one delivered message: the payload and the node that sent
+// it. The engine sets From, so a program cannot forge a sender.
 type Envelope[M WordCounter] struct {
 	From    int
-	To      int
+	Payload M
+}
+
+// Send is one payload sent during some round, delivered as one message to
+// every node in To at the start of the next round. Each receiver is
+// accounted as a message of Payload.Words() words; a Send with no
+// receivers is no message at all. A node listed twice receives two
+// copies.
+//
+// To is borrowed by the engine until the end of the round's commit, like
+// the slice of Sends that carries it (see Program): it may alias program
+// state such as an adjacency row, which the engine never writes.
+type Send[M WordCounter] struct {
+	To      []int32
 	Payload M
 }
 
 // Program is a synchronous node program executed by Run.
 //
 // Step is called once per round for every node that has not yet halted.
-// in holds exactly the messages addressed to node in the previous round
-// (empty — not necessarily nil — in round 0 and whenever nothing arrived,
-// so test len(in), not in == nil); the slice is owned by the engine and
-// must not be retained across calls. Step returns the node's
-// outbox for this round and whether the node halts. A halted node is never
-// stepped again; messages addressed to it are still accounted but silently
-// dropped, exactly as a real network delivers into a stopped process.
+// in holds exactly the messages addressed to node in the previous round,
+// in ascending sender order (empty — not necessarily nil — in round 0 and
+// whenever nothing arrived, so test len(in), not in == nil); the slice is
+// owned by the engine, reused for the next Step, and must not be retained
+// across calls. Step returns the node's Sends for this round and whether
+// the node halts. A halted node is never stepped again; messages
+// addressed to it are still accounted but silently dropped, exactly as a
+// real network delivers into a stopped process.
 //
-// The returned outbox is borrowed by the engine until the end of the
-// round's commit, which copies the envelopes into the delivery arena.
-// After that the program owns the slice again: Step(node, ...) may reuse
-// the same backing array on node's next call (out = buf[node][:0]) instead
-// of allocating a fresh outbox every round. The engine never mutates a
-// borrowed outbox and never reads it after commit.
+// The returned Sends and every Send's To are borrowed by the engine until
+// the end of the round's commit, which copies each payload once into the
+// delivery arena and routes its index to the receivers. After that the
+// program owns them again: Step(node, ...) may reuse the same backing
+// arrays on node's next call instead of allocating every round. The
+// engine never mutates a borrowed slice and never reads it after commit.
 //
 // For the parallel scheduler to be safe, Step(node, ...) must touch only
 // state owned by node (concurrent Step calls always target distinct
@@ -81,7 +101,7 @@ type Program[M WordCounter] interface {
 	// NumNodes reports the number of nodes; node ids are 0..NumNodes()-1.
 	NumNodes() int
 	// Step executes one round of one node.
-	Step(node, round int, in []Envelope[M]) ([]Envelope[M], bool)
+	Step(node, round int, in []Envelope[M]) ([]Send[M], bool)
 }
 
 // Options configures a Run.
@@ -90,7 +110,9 @@ type Options struct {
 	// are bit-identical to the sequential scheduler.
 	Parallel bool
 	// Workers caps the goroutine pool of the parallel scheduler; 0 or
-	// negative means GOMAXPROCS. Ignored unless Parallel is set.
+	// negative means GOMAXPROCS. Ignored unless Parallel is set. The pool
+	// never exceeds one worker per 64-node chunk of the program, so a
+	// larger value costs nothing extra.
 	Workers int
 	// RecordRounds enables the per-round statistics in Metrics.PerRound.
 	RecordRounds bool

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -30,10 +31,10 @@ func newRelay(n int) *relay {
 
 func (r *relay) NumNodes() int { return r.n }
 
-func (r *relay) Step(node, round int, in []Envelope[words]) ([]Envelope[words], bool) {
+func (r *relay) Step(node, round int, in []Envelope[words]) ([]Send[words], bool) {
 	if node == 0 && round == 0 {
 		r.receivedAt[0] = 0
-		return []Envelope[words]{{From: 0, To: 1, Payload: 1}}, true
+		return []Send[words]{{To: []int32{1}, Payload: 1}}, true
 	}
 	if len(in) == 0 {
 		return nil, false
@@ -42,7 +43,7 @@ func (r *relay) Step(node, round int, in []Envelope[words]) ([]Envelope[words], 
 	if node == r.n-1 {
 		return nil, true
 	}
-	return []Envelope[words]{{From: node, To: node + 1, Payload: 1}}, true
+	return []Send[words]{{To: []int32{int32(node + 1)}, Payload: 1}}, true
 }
 
 func TestRelayDoubleBuffering(t *testing.T) {
@@ -71,19 +72,34 @@ func TestRelayDoubleBuffering(t *testing.T) {
 
 // gossip is a ring program used by the determinism and accounting tests:
 // for rounds rounds, every node sends its (node+round)-dependent payload to
-// both ring neighbors and logs every payload it receives, then halts.
+// both ring neighbors in one Send, odd nodes also send a second payload to
+// their right neighbor in a second Send, and every node logs every payload
+// it receives, then halts. Like the real programs, it hands the engine
+// per-node buffers that it reuses every round.
 type gossip struct {
 	n, rounds int
 	log       [][]words // log[v] = payloads received by v, in arrival order
+	ring      []int32   // ring[2v:2v+2] = v's left and right neighbors
+	out       []Send[words]
 }
 
 func newGossip(n, rounds int) *gossip {
-	return &gossip{n: n, rounds: rounds, log: make([][]words, n)}
+	g := &gossip{n: n, rounds: rounds, log: make([][]words, n), ring: make([]int32, 2*n), out: make([]Send[words], 2*n)}
+	for v := 0; v < n; v++ {
+		g.ring[2*v], g.ring[2*v+1] = int32((v+n-1)%n), int32((v+1)%n)
+	}
+	return g
+}
+
+// gossipPayloads returns the payloads node sends in round: the first to
+// both neighbors, the second (odd nodes only) to the right neighbor.
+func gossipPayloads(node, round int) (words, words) {
+	return words(1 + (node+round)%4), words(1 + (node+round+2)%4)
 }
 
 func (g *gossip) NumNodes() int { return g.n }
 
-func (g *gossip) Step(node, round int, in []Envelope[words]) ([]Envelope[words], bool) {
+func (g *gossip) Step(node, round int, in []Envelope[words]) ([]Send[words], bool) {
 	if g.log != nil { // the benches disable receipt logging
 		for _, env := range in {
 			g.log[node] = append(g.log[node], env.Payload)
@@ -92,12 +108,34 @@ func (g *gossip) Step(node, round int, in []Envelope[words]) ([]Envelope[words],
 	if round >= g.rounds {
 		return nil, true
 	}
-	pay := words(1 + (node+round)%4)
-	left, right := (node+g.n-1)%g.n, (node+1)%g.n
-	return []Envelope[words]{
-		{From: node, To: left, Payload: pay},
-		{From: node, To: right, Payload: pay},
-	}, false
+	both, right := gossipPayloads(node, round)
+	out := g.out[2*node : 2*node+1 : 2*node+2]
+	out[0] = Send[words]{To: g.ring[2*node : 2*node+2], Payload: both}
+	if node%2 == 1 {
+		out = append(out, Send[words]{To: g.ring[2*node+1 : 2*node+2], Payload: right})
+	}
+	return out, false
+}
+
+// gossipLog is the receipt log gossip must produce on an n-ring (n >= 3),
+// derived from the model rather than the engine: each round's messages
+// arrive in ascending sender order, and one sender's messages in the
+// order of its Sends.
+func gossipLog(n, rounds int) [][]words {
+	log := make([][]words, n)
+	for v := 0; v < n; v++ {
+		left, right := (v+n-1)%n, (v+1)%n
+		for r := 0; r < rounds; r++ {
+			for _, s := range []int{min(left, right), max(left, right)} {
+				both, second := gossipPayloads(s, r)
+				log[v] = append(log[v], both)
+				if s%2 == 1 && s == left { // v is s's right neighbor
+					log[v] = append(log[v], second)
+				}
+			}
+		}
+	}
+	return log
 }
 
 func TestSchedulersBitIdentical(t *testing.T) {
@@ -109,7 +147,11 @@ func TestSchedulersBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers := 1; workers <= 8; workers++ {
+	if !reflect.DeepEqual(ref.log, gossipLog(n, rounds)) {
+		t.Fatal("sequential scheduler delivered payloads other than the model's")
+	}
+	// math.MaxInt workers is clamped to one per chunk of nodes (here 2).
+	for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, math.MaxInt} {
 		g := newGossip(n, rounds)
 		m, err := Run[words](context.Background(), g, Options{Parallel: true, Workers: workers, RecordRounds: true})
 		if err != nil {
@@ -159,19 +201,38 @@ func TestPerRoundStats(t *testing.T) {
 	}
 }
 
+// withEmptySend wraps gossip so that node 0 also returns a Send of a
+// 99-word payload to no receivers whenever it sends.
+type withEmptySend struct{ *gossip }
+
+func (g withEmptySend) Step(node, round int, in []Envelope[words]) ([]Send[words], bool) {
+	out, halt := g.gossip.Step(node, round, in)
+	if node == 0 && len(out) > 0 {
+		out = append([]Send[words]{{Payload: 99}}, out...)
+	}
+	return out, halt
+}
+
 func TestWordAccounting(t *testing.T) {
-	// Payload sizes 1..4 on the gossip ring; MaxMessageWords must be the
-	// observed maximum, and Words the exact sum of payload sizes.
+	// Payload sizes 1..4 on the gossip ring, Sends to one and to two
+	// receivers, two Sends from each odd node; MaxMessageWords must be the
+	// observed maximum, Messages the number of deliveries and Words the
+	// exact sum of delivered payload sizes. A Send with no receivers is no
+	// message: it must not move any of the three.
 	g := newGossip(8, 3)
-	m, err := Run[words](context.Background(), g, Options{})
+	m, err := Run[words](context.Background(), withEmptySend{g}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.MaxMessageWords != 4 {
 		t.Fatalf("MaxMessageWords = %d, want 4", m.MaxMessageWords)
 	}
-	var want int64
+	if !reflect.DeepEqual(g.log, gossipLog(8, 3)) {
+		t.Fatal("delivered payloads differ from the model's")
+	}
+	var want, delivered int64
 	for _, log := range g.log {
+		delivered += int64(len(log))
 		for _, w := range log {
 			want += int64(w)
 		}
@@ -179,19 +240,22 @@ func TestWordAccounting(t *testing.T) {
 	if m.Words != want {
 		t.Fatalf("Words = %d, want delivered sum %d", m.Words, want)
 	}
+	if m.Messages != delivered {
+		t.Fatalf("Messages = %d, want %d deliveries", m.Messages, delivered)
+	}
 }
 
-// misbehaving emits one malformed envelope from node 0 in round 0.
+// misbehaving emits one malformed Send from node 0 in round 0.
 type misbehaving struct {
-	n   int
-	env Envelope[words]
+	n    int
+	send Send[words]
 }
 
 func (m *misbehaving) NumNodes() int { return m.n }
 
-func (m *misbehaving) Step(node, round int, in []Envelope[words]) ([]Envelope[words], bool) {
+func (m *misbehaving) Step(node, round int, in []Envelope[words]) ([]Send[words], bool) {
 	if node == 0 {
-		return []Envelope[words]{m.env}, true
+		return []Send[words]{m.send}, true
 	}
 	return nil, true
 }
@@ -199,18 +263,18 @@ func (m *misbehaving) Step(node, round int, in []Envelope[words]) ([]Envelope[wo
 func TestMalformedEnvelopesError(t *testing.T) {
 	cases := []struct {
 		name string
-		env  Envelope[words]
+		send Send[words]
 		want string
 	}{
-		{"to-too-large", Envelope[words]{From: 0, To: 5, Payload: 1}, "out-of-range"},
-		{"to-negative", Envelope[words]{From: 0, To: -1, Payload: 1}, "out-of-range"},
-		{"forged-from", Envelope[words]{From: 3, To: 1, Payload: 1}, "forged"},
+		{"to-too-large", Send[words]{To: []int32{5}, Payload: 1}, "out-of-range"},
+		{"to-negative", Send[words]{To: []int32{-1}, Payload: 1}, "out-of-range"},
+		{"second-to-too-large", Send[words]{To: []int32{1, 4}, Payload: 1}, "out-of-range"},
 	}
 	for _, tc := range cases {
 		for _, parallel := range []bool{false, true} {
-			_, err := Run[words](context.Background(), &misbehaving{n: 4, env: tc.env}, Options{Parallel: parallel})
+			_, err := Run[words](context.Background(), &misbehaving{n: 4, send: tc.send}, Options{Parallel: parallel})
 			if err == nil {
-				t.Fatalf("%s (parallel=%v): malformed envelope accepted", tc.name, parallel)
+				t.Fatalf("%s (parallel=%v): malformed Send accepted", tc.name, parallel)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("%s (parallel=%v): error %q does not mention %q", tc.name, parallel, err, tc.want)
@@ -224,7 +288,7 @@ type stubborn struct{ n int }
 
 func (s stubborn) NumNodes() int { return s.n }
 
-func (s stubborn) Step(node, round int, in []Envelope[words]) ([]Envelope[words], bool) {
+func (s stubborn) Step(node, round int, in []Envelope[words]) ([]Send[words], bool) {
 	return nil, false
 }
 
@@ -247,7 +311,7 @@ type halter struct {
 
 func (h *halter) NumNodes() int { return 2 }
 
-func (h *halter) Step(node, round int, in []Envelope[words]) ([]Envelope[words], bool) {
+func (h *halter) Step(node, round int, in []Envelope[words]) ([]Send[words], bool) {
 	cp := make([]Envelope[words], len(in))
 	copy(cp, in)
 	h.delivered = append(h.delivered, cp)
@@ -255,7 +319,7 @@ func (h *halter) Step(node, round int, in []Envelope[words]) ([]Envelope[words],
 		return nil, true
 	}
 	if round == 0 {
-		return []Envelope[words]{{From: 0, To: 1, Payload: 2}}, false
+		return []Send[words]{{To: []int32{1}, Payload: 2}}, false
 	}
 	return nil, true
 }
@@ -296,7 +360,7 @@ type blocker struct {
 
 func (b *blocker) NumNodes() int { return b.n }
 
-func (b *blocker) Step(node, round int, in []Envelope[words]) ([]Envelope[words], bool) {
+func (b *blocker) Step(node, round int, in []Envelope[words]) ([]Send[words], bool) {
 	if node == 0 && round == b.minRounds && !b.once {
 		b.once = true
 		close(b.started)
