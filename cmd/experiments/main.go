@@ -32,7 +32,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	full := fs.Bool("full", false, "run at full scale (EXPERIMENTS.md numbers)")
-	runList := fs.String("run", "all", "comma-separated experiment IDs (T1..T10, F1..F3) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment IDs (T1..T15, A1, F1..F3) or 'all'")
 	seed := fs.Uint64("seed", 1, "master seed")
 	trials := fs.Int("trials", 0, "override trials per configuration (0 = scale default)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")

@@ -14,9 +14,9 @@ import (
 // Wrap a graph, apply insert/delete batches, Compact back to CSR, and
 // hand the effective mutations to a Maintainer — which repairs only the
 // damaged region when the plan supports certified repair, and falls back
-// to a full recompute past a configurable damage fraction. The repaired
-// partition is always content-identical to running the plan from scratch
-// on the mutated graph.
+// to a full recompute when one phase's region passes a quarter of the
+// vertices. The repaired partition is always content-identical to running
+// the plan from scratch on the mutated graph.
 //
 //	m, _ := netdecomp.NewMaintainer(ctx, plan, g, netdecomp.MaintainerConfig{})
 //	next, res, _ := netdecomp.WrapGraph(m.Graph()).Apply(batch)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -227,7 +228,8 @@ func TestFrontierParallelBitIdentical(t *testing.T) {
 // TestRunWithParallelMatchesSequential asserts the end-to-end contract the
 // facade documents for WithParallel: a full forced-complete run on the
 // parallel simulation equals the sequential run field for field — clusters,
-// metrics, trace and all — for every worker count.
+// metrics, trace and all — for every worker count, including one far past
+// any pool the run could use.
 func TestRunWithParallelMatchesSequential(t *testing.T) {
 	g := gen.GnpConnected(randx.New(51), 3000, 0.003)
 	o := Options{K: 5, C: 8, Seed: 13, ForceComplete: true, CaptureTrace: true}
@@ -235,7 +237,7 @@ func TestRunWithParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for workers := 1; workers <= 8; workers++ {
+	for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, math.MaxInt} {
 		got, err := RunWith(g, o, Exec{Parallel: true, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -141,7 +141,7 @@ func TestRepairEquivalence(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			changes := randomChanges(rng, g, 1+rng.Intn(8))
 			g2 := applyChanges(g, changes)
-			got, st2, stats, err := Repair(g2, o, st, changes, RepairConfig{})
+			got, st2, stats, err := Repair(g2, o, st, changes)
 			if err != nil {
 				t.Fatalf("variant %v round %d: %v", o.Variant, round, err)
 			}
@@ -174,7 +174,7 @@ func TestRepairStateChaining(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		changes := randomChanges(rng, g, 2)
 		g2 := applyChanges(g, changes)
-		got, st2, _, err := Repair(g2, o, st, changes, RepairConfig{})
+		got, st2, _, err := Repair(g2, o, st, changes)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -228,6 +228,8 @@ func requireSameState(t *testing.T, got, want *RepairState, msg string) int {
 // hands on, so across chained repairs they must equal a fresh bootstrap's
 // on the mutated graph — not only the partition must.
 func TestRepairHandsOnFreshTables(t *testing.T) {
+	defer func(old float64) { maxRegionFraction = old }(maxRegionFraction)
+	maxRegionFraction = 1
 	rng := randx.New(0x7ab1e)
 	tables, fellBack := 0, 0
 	for _, o := range repairOpts {
@@ -239,7 +241,7 @@ func TestRepairHandsOnFreshTables(t *testing.T) {
 			for round := 0; round < 12; round++ {
 				changes := randomChanges(rng, g, 1+rng.Intn(8))
 				g2 := applyChanges(g, changes)
-				_, st2, stats, err := Repair(g2, o, st, changes, RepairConfig{MaxDamageFraction: 1})
+				_, st2, stats, err := Repair(g2, o, st, changes)
 				if err != nil {
 					t.Fatalf("variant %v n=%d round %d: %v", o.Variant, g.N(), round, err)
 				}
@@ -261,6 +263,8 @@ func TestRepairHandsOnFreshTables(t *testing.T) {
 // TestRepairConsumesState: Repair moves the tables out of the state it is
 // given, so passing that state again recomputes — and is still exact.
 func TestRepairConsumesState(t *testing.T) {
+	defer func(old float64) { maxRegionFraction = old }(maxRegionFraction)
+	maxRegionFraction = 1
 	rng := randx.New(6)
 	o := Options{Variant: Theorem1, K: 4, C: 4, Seed: 3, ForceComplete: true}
 	g := gen.GnpConnected(rng, 100, 0.05)
@@ -270,10 +274,10 @@ func TestRepairConsumesState(t *testing.T) {
 	}
 	changes := randomChanges(rng, g, 3)
 	g2 := applyChanges(g, changes)
-	if _, _, stats, err := Repair(g2, o, st, changes, RepairConfig{MaxDamageFraction: 1}); err != nil || stats.FellBack {
+	if _, _, stats, err := Repair(g2, o, st, changes); err != nil || stats.FellBack {
 		t.Fatalf("first repair: err %v, stats %+v", err, stats)
 	}
-	got, _, stats, err := Repair(g2, o, st, changes, RepairConfig{MaxDamageFraction: 1})
+	got, _, stats, err := Repair(g2, o, st, changes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +297,7 @@ func TestRepairNilStateFallsBack(t *testing.T) {
 	rng := randx.New(1)
 	o := Options{Variant: Theorem1, K: 3, C: 4, Seed: 5, ForceComplete: true}
 	g := gen.GnpConnected(rng, 60, 0.06)
-	dec, st, stats, err := Repair(g, o, nil, nil, RepairConfig{})
+	dec, st, stats, err := Repair(g, o, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,6 +317,8 @@ func TestRepairNilStateFallsBack(t *testing.T) {
 // TestRepairDamageFractionFallback: a region cap below any real damage
 // forces the fallback, which still produces the exact answer.
 func TestRepairDamageFractionFallback(t *testing.T) {
+	defer func(old float64) { maxRegionFraction = old }(maxRegionFraction)
+	maxRegionFraction = 1e-9
 	rng := randx.New(2)
 	o := Options{Variant: Theorem1, K: 4, C: 4, Seed: 9, ForceComplete: true}
 	g := gen.GnpConnected(rng, 100, 0.05)
@@ -322,7 +328,7 @@ func TestRepairDamageFractionFallback(t *testing.T) {
 	}
 	changes := randomChanges(rng, g, 10)
 	g2 := applyChanges(g, changes)
-	got, _, stats, err := Repair(g2, o, st, changes, RepairConfig{MaxDamageFraction: 1e-9})
+	got, _, stats, err := Repair(g2, o, st, changes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,34 +358,111 @@ func TestRepairValidatesChanges(t *testing.T) {
 		{{U: 5, V: 5, Insert: false}},
 	}
 	for _, changes := range bad {
-		if _, _, _, err := Repair(g, o, st, changes, RepairConfig{}); err == nil {
+		if _, _, _, err := Repair(g, o, st, changes); err == nil {
 			t.Fatalf("Repair accepted malformed changes %+v", changes)
 		}
 	}
 }
 
-// TestRunRepairableStripsTrace: the returned decomposition looks exactly
-// like a plain run (no trace attached, CaptureTrace not reported in Opts).
+// TestRunRepairableStripsTrace: the returned decomposition is exactly a
+// plain run's, field for field — no trace when CaptureTrace is unset, and
+// Run's own trace when it is set.
 func TestRunRepairableStripsTrace(t *testing.T) {
 	rng := randx.New(5)
-	o := Options{Variant: Theorem1, K: 3, C: 4, Seed: 1, ForceComplete: true}
 	g := gen.GnpConnected(rng, 50, 0.08)
-	dec, st, err := RunRepairable(g, o)
-	if err != nil {
-		t.Fatal(err)
+	for _, capture := range []bool{false, true} {
+		o := Options{Variant: Theorem1, K: 3, C: 4, Seed: 1, ForceComplete: true, CaptureTrace: capture}
+		dec, st, err := RunRepairable(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st == nil {
+			t.Fatal("nil repair state")
+		}
+		if (dec.Trace != nil) != capture {
+			t.Fatalf("CaptureTrace=%v: trace attached %v", capture, dec.Trace != nil)
+		}
+		want, err := Run(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(dec, want) {
+			t.Fatalf("CaptureTrace=%v: RunRepairable differs from Run", capture)
+		}
 	}
-	if dec.Trace != nil {
-		t.Fatal("RunRepairable leaked the capture trace")
+}
+
+// TestRepairResimulatedPhases chains repairs under options where radius
+// truncation is common (C near its minimum with K = 3, and Theorem 3 with
+// λ = 2), each chain under its own seed. Under K = 3 every even round's
+// batch is picked, among up to 32 random draws, to change the run's
+// length; every odd round undoes the batch before it, so one repair of
+// each such pair has a new run that outlasts the old one. Both kinds of
+// whole-phase re-simulation, a phase truncated in either run and a phase
+// past the prior run's last, so run many times. Every repair must equal
+// Run.
+func TestRepairResimulatedPhases(t *testing.T) {
+	defer func(old float64) { maxRegionFraction = old }(maxRegionFraction)
+	maxRegionFraction = 1
+	rng := randx.New(0x7e51)
+	cases := []struct {
+		o     Options
+		draws int // random batches an even round may draw
+	}{
+		{Options{Variant: Theorem1, K: 3, C: 3.2, ForceComplete: true}, 32},
+		{Options{Variant: Theorem3, C: 3.2, Lambda: 2, ForceComplete: true}, 1},
 	}
-	if dec.Opts.CaptureTrace {
-		t.Fatal("RunRepairable leaked CaptureTrace in Opts")
+	truncated, outlasted, repairs := 0, 0, 0
+	for _, tc := range cases {
+		o := tc.o
+		for seed := range uint64(16) {
+			o.Seed = seed
+			g := gen.GnpConnected(rng, 120, 0.04)
+			prior, st, err := RunRepairable(g, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var changes []EdgeChange
+			for round := 0; round < 6; round++ {
+				var g2 *graph.Graph
+				var want *Decomposition
+				for draw := 0; draw < tc.draws; draw++ {
+					if round%2 == 1 {
+						for i, c := range changes {
+							changes[i].Insert = !c.Insert
+						}
+					} else {
+						changes = randomChanges(rng, g, 1+rng.Intn(16))
+					}
+					g2 = applyChanges(g, changes)
+					if want, err = Run(g2, o); err != nil {
+						t.Fatal(err)
+					}
+					if round%2 == 1 || want.PhasesUsed != prior.PhasesUsed {
+						break
+					}
+				}
+				got, st2, stats, err := Repair(g2, o, st, changes)
+				if err != nil {
+					t.Fatalf("variant %v seed %d round %d: %v", o.Variant, seed, round, err)
+				}
+				if stats.FellBack {
+					t.Fatalf("variant %v seed %d round %d fell back: %s", o.Variant, seed, round, stats.FallbackReason)
+				}
+				requireRepairEquivalent(t, got, want, fmt.Sprintf("variant %v seed %d round %d", o.Variant, seed, round))
+				if prior.TruncationEvents > 0 || want.TruncationEvents > 0 {
+					truncated++
+				}
+				if want.PhasesUsed > prior.PhasesUsed {
+					outlasted++
+				}
+				repairs++
+				g, st, prior = g2, st2, want
+			}
+		}
 	}
-	if st == nil {
-		t.Fatal("nil repair state")
+	t.Logf("%d repairs: %d with truncation in either run, %d outlasting the prior run", repairs, truncated, outlasted)
+	if truncated < 30 || outlasted < 25 {
+		t.Fatalf("%d repairs with truncation and %d outlasting the prior run; want at least 30 and 25", truncated, outlasted)
 	}
-	want, err := Run(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRepairEquivalent(t, dec, want, "RunRepairable")
 }

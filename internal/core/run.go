@@ -31,7 +31,8 @@ type Exec struct {
 	// honor — so this is purely a wall-clock knob for large graphs.
 	Parallel bool
 	// Workers caps the worker pool of the parallel mode; 0 or negative
-	// means GOMAXPROCS. Ignored unless Parallel is set.
+	// means GOMAXPROCS. The pool never exceeds one worker per 64 vertices.
+	// Ignored unless Parallel is set.
 	Workers int
 	// phaseFinal, when non-nil, receives each phase's final top-two states
 	// (the runner's full state array, valid on aliveList entries, read-only,
@@ -104,10 +105,14 @@ func RunWith(g graph.Interface, o Options, x Exec) (*Decomposition, error) {
 	runner := newPhaseRunner(g)
 	if x.Parallel {
 		runner.parallel = true
-		runner.workers = x.Workers
-		if runner.workers <= 0 {
-			runner.workers = runtime.GOMAXPROCS(0)
+		workers := x.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
+		// One receiver shard per 64 vertices at most, the dist engine's
+		// rule: results do not depend on the worker count, so a huge
+		// Workers costs no more than that.
+		runner.workers = max(1, min(workers, (n+63)/64))
 	}
 	// ForceComplete may run past the theorem budget; this guard turns a
 	// (probability ~0) runaway into an error instead of a hang.
@@ -178,11 +183,7 @@ func RunWith(g graph.Interface, o Options, x Exec) (*Decomposition, error) {
 			x.phaseFinal(phase, aliveList, runner.state, runner.radius)
 		}
 
-		m := &dec.Metrics
-		m.Rounds += res.rounds
-		m.Messages += res.messages
-		m.Words += res.words
-		m.MaxMessageWords = max(m.MaxMessageWords, res.maxMsgWords)
+		dec.account(res)
 		if dec.Trace != nil {
 			// The runner only maintains alive entries of radius and
 			// centers; rebuild the dense per-phase views the trace pins
@@ -228,4 +229,13 @@ func RunWith(g graph.Interface, o Options, x Exec) (*Decomposition, error) {
 	dec.AlivePerPhase = append(dec.AlivePerPhase, aliveCount)
 	dec.Complete = aliveCount == 0
 	return dec, nil
+}
+
+// account adds one phase simulation's traffic to d's metrics.
+func (d *Decomposition) account(res phaseResult) {
+	m := &d.Metrics
+	m.Rounds += res.rounds
+	m.Messages += res.messages
+	m.Words += res.words
+	m.MaxMessageWords = max(m.MaxMessageWords, res.maxMsgWords)
 }

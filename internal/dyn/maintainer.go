@@ -17,12 +17,10 @@ import (
 	"netdecomp/internal/obs"
 )
 
-// Config tunes a Maintainer.
+// Config tunes a Maintainer. Repair falls back to a full recompute when a
+// phase's certified region passes a quarter of the vertices; that cap is
+// fixed in core.Repair.
 type Config struct {
-	// MaxDamageFraction bounds the per-phase re-simulation region as a
-	// fraction of n before repair falls back to full recompute (0 = the
-	// core default 0.25).
-	MaxDamageFraction float64
 	// ForceRecompute disables the repair path entirely: every Update runs
 	// the plan from scratch. The benchmark and churn-experiment baseline.
 	ForceRecompute bool
@@ -33,7 +31,7 @@ type Config struct {
 // UpdateReport describes what one Update did.
 type UpdateReport struct {
 	// Repaired reports the incremental path ran to completion; FellBack
-	// that it started and bailed (damage fraction, missing state), with
+	// that it started and bailed (region cap, missing state), with
 	// Reason naming why. Both false means the plan is not repairable (or
 	// ForceRecompute is set) and a plain recompute ran.
 	Repaired bool
@@ -43,7 +41,7 @@ type UpdateReport struct {
 	// regions (repair path only).
 	Damaged int
 	Region  int
-	// RepairedClusters counts result clusters that contain a damaged
+	// RepairedClusters counts result clusters that contain a re-simulated
 	// vertex; TotalClusters is the cluster count of the result.
 	RepairedClusters int
 	TotalClusters    int
@@ -161,8 +159,7 @@ func (m *Maintainer) Update(ctx context.Context, g graph.Interface, effective []
 	for i, mut := range effective {
 		changes[i] = core.EdgeChange{U: mut.U, V: mut.V, Insert: mut.Op == OpInsert}
 	}
-	dec, st, stats, err := core.Repair(g, m.opts, m.st, changes,
-		core.RepairConfig{MaxDamageFraction: m.cfg.MaxDamageFraction})
+	dec, st, stats, err := core.Repair(g, m.opts, m.st, changes)
 	if err != nil {
 		return nil, rep, err
 	}

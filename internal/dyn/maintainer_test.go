@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"netdecomp/internal/decomp"
@@ -157,50 +158,59 @@ func TestMaintainerEmptyBatch(t *testing.T) {
 	}
 }
 
-// TestMaintainerFallback forces the damage-fraction guard and checks the
-// fallback path still produces the from-scratch answer.
+// TestMaintainerFallback drives repair past its region cap — a batch whose
+// distinct endpoints exceed a quarter of the vertices seeds a larger region
+// at phase 0 — and checks the fallback still produces the from-scratch
+// answer and leaves state the next small update repairs from.
 func TestMaintainerFallback(t *testing.T) {
+	const n = 80
 	ctx := context.Background()
 	rng := randx.New(17)
 	pl, err := decomp.Compile("elkin-neiman", decomp.WithForceComplete(), decomp.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Wrap(gen.GnpConnected(rng, 80, 0.08))
-	// A fraction this small means any real damage overflows the region cap.
-	m, err := NewMaintainer(ctx, pl, o, Config{MaxDamageFraction: 1e-9})
+	o := Wrap(gen.GnpConnected(rng, n, 0.08))
+	m, err := NewMaintainer(ctx, pl, o, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model := modelOf(o)
-	batch := randomBatch(rng, model, 80, 12)
+	batch := randomBatch(rng, modelOf(o), n, 40)
 	next, res, err := o.Apply(batch)
 	if err != nil {
 		t.Fatal(err)
+	}
+	endpoints := map[int32]bool{}
+	for _, mut := range res.Effective {
+		endpoints[mut.U], endpoints[mut.V] = true, true
+	}
+	if len(endpoints) <= n/4 {
+		t.Fatalf("batch touches %d distinct endpoints, want more than %d", len(endpoints), n/4)
 	}
 	got, rep, err := m.Update(ctx, next, res.Effective)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Effective) > 0 && !rep.FellBack {
-		t.Fatalf("expected fallback under MaxDamageFraction=1e-9, got %+v", rep)
+	if !rep.FellBack || !strings.Contains(rep.Reason, "exceeds cap") {
+		t.Fatalf("expected the region-cap fallback with %d damaged endpoints on %d vertices, got %+v", len(endpoints), n, rep)
 	}
 	want, err := pl.Run(ctx, next)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireEquivalent(t, got, want, "fallback")
-	// A fallback refreshes the repair state: the next small update must be
-	// repairable again under a sane fraction... but this maintainer keeps
-	// the tiny fraction, so just verify continued correctness.
-	batch2 := randomBatch(rng, modelOf(next), 80, 2)
+	// A fallback refreshes the repair state: the next small update repairs.
+	batch2 := randomBatch(rng, modelOf(next), n, 2)
 	next2, res2, err := next.Apply(batch2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, _, err := m.Update(ctx, next2, res2.Effective)
+	got2, rep2, err := m.Update(ctx, next2, res2.Effective)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rep2.Repaired {
+		t.Fatalf("update after a fallback did not repair: %+v", rep2)
 	}
 	want2, err := pl.Run(ctx, next2)
 	if err != nil {

@@ -69,7 +69,7 @@ func pick[T any](c Config, small, full T) T {
 // Table is one reproduced table or figure: a titled grid of cells plus the
 // paper claim it is checked against.
 type Table struct {
-	// ID is the experiment identifier (T1..T10, F1..F3).
+	// ID is the experiment identifier (T1..T15, A1, F1..F3).
 	ID string
 	// Title is the human-readable headline.
 	Title string
