@@ -1,8 +1,8 @@
-// bench_test.go holds one testing.B benchmark per reproduced table and
-// figure (see DESIGN.md section 6 and EXPERIMENTS.md): each bench runs the
-// corresponding harness driver at ScaleSmall, so `go test -bench=. -benchmem`
-// regenerates a reduced version of the full experiment suite and reports
-// its cost. cmd/experiments runs the same drivers at full scale.
+// bench_test.go holds one testing.B benchmark per reproduced table (see
+// DESIGN.md section 6): each bench runs the corresponding harness driver
+// at ScaleSmall, so `go test -bench=. -benchmem` regenerates a reduced
+// version of the experiment suite and reports its cost. `go run
+// ./cmd/experiments` runs the same drivers and checks their verdicts.
 package netdecomp_test
 
 import (
@@ -93,18 +93,6 @@ func BenchmarkT13SequentialYardstick(b *testing.B) { benchDriver(b, "T13") }
 // BenchmarkA1ForwardingAblation regenerates ablation A1: top-2 forwarding
 // is lossless, top-1 is not.
 func BenchmarkA1ForwardingAblation(b *testing.B) { benchDriver(b, "A1") }
-
-// BenchmarkF1SurvivalCurve regenerates figure F1: the per-phase survival
-// curve against the geometric envelope.
-func BenchmarkF1SurvivalCurve(b *testing.B) { benchDriver(b, "F1") }
-
-// BenchmarkF2TradeoffFrontier regenerates figure F2: the diameter/colors
-// frontier spanned by Theorems 1 and 3.
-func BenchmarkF2TradeoffFrontier(b *testing.B) { benchDriver(b, "F2") }
-
-// BenchmarkF3RoundsScaling regenerates figure F3: round growth versus n
-// for Elkin–Neiman and Linial–Saks at k = ⌈ln n⌉.
-func BenchmarkF3RoundsScaling(b *testing.B) { benchDriver(b, "F3") }
 
 // --- CSR-core benchmarks -------------------------------------------------
 //

@@ -26,10 +26,12 @@ func main() {
 	k := int(math.Ceil(math.Log(float64(g.N()))))
 	opts := core.Options{K: k, C: 8, Seed: 21}
 
-	// Run the node program on the parallel scheduler with per-round stats.
+	// Run the node program on the parallel scheduler, collecting per-round
+	// stats through the engine's observer.
+	var perRound []dist.RoundStats
 	p, err := core.RunDistributed(context.Background(), g, opts, dist.Options{
-		Parallel:     true,
-		RecordRounds: true,
+		Parallel: true,
+		Observer: func(r dist.RoundStats) { perRound = append(perRound, r) },
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -50,7 +52,7 @@ func main() {
 
 	// Busiest rounds of the execution.
 	fmt.Println("\nbusiest rounds (phase boundaries carry the initial broadcasts):")
-	top := topRounds(metrics.PerRound, 5)
+	top := topRounds(perRound, 5)
 	for _, r := range top {
 		bar := ""
 		for i := int64(0); i < r.Messages/500; i++ {

@@ -2,8 +2,9 @@
 // trades a small strong diameter (2k−2) for many colors; Theorem 3 inverts
 // the tradeoff (λ colors, diameter ~(cn)^{1/λ}); Theorem 2 keeps Theorem
 // 1's diameter while lowering the color bound to 4k(cn)^{1/k}. The example
-// prints the measured frontier, which is figure F2 of EXPERIMENTS.md in
-// miniature.
+// prints the measured frontier; experiments T1–T3 of `go run
+// ./cmd/experiments` (DESIGN.md section 6) sweep the same regimes and check
+// their bounds.
 package main
 
 import (

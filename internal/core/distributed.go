@@ -226,10 +226,9 @@ func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Send[Ms
 // RunDistributed executes the decomposition as a true message-passing
 // program on the internal/dist engine (sequential or goroutine-parallel
 // per engineOpts) and assembles the resulting Decomposition, whose Metrics
-// are the raw engine metrics (including per-round statistics when
-// engineOpts.RecordRounds is set). Cancellation via ctx stops the engine
-// at the next round barrier and returns ctx.Err(); per-round observation
-// is available through engineOpts.Observer.
+// are the raw engine metrics. Cancellation via ctx stops the engine at the
+// next round barrier and returns ctx.Err(); per-round observation is
+// available through engineOpts.Observer.
 //
 // For equal Options (including Seed) it produces exactly the same clusters
 // as Run; the integration tests assert this. RadiusExact is not supported

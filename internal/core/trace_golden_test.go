@@ -68,7 +68,9 @@ func TestEngineTraceGolden(t *testing.T) {
 	}
 
 	t.Run("engine-sequential", func(t *testing.T) {
-		dec, err := RunDistributed(context.Background(), g, o, dist.Options{RecordRounds: true})
+		var rows []dist.RoundStats
+		dec, err := RunDistributed(context.Background(), g, o,
+			dist.Options{Observer: func(rs dist.RoundStats) { rows = append(rows, rs) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,16 +78,19 @@ func TestEngineTraceGolden(t *testing.T) {
 		if m.MaxMessageWords != wantMaxW {
 			t.Fatalf("maxMsgWords %d, want %d", m.MaxMessageWords, wantMaxW)
 		}
-		check(t, "engine-sequential", m.PerRound)
+		check(t, "engine-sequential", rows)
 	})
 	t.Run("engine-parallel", func(t *testing.T) {
 		for workers := 1; workers <= 4; workers++ {
-			dec, err := RunDistributed(context.Background(), g, o,
-				dist.Options{RecordRounds: true, Parallel: true, Workers: workers})
+			var rows []dist.RoundStats
+			_, err := RunDistributed(context.Background(), g, o, dist.Options{
+				Parallel: true, Workers: workers,
+				Observer: func(rs dist.RoundStats) { rows = append(rows, rs) },
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, "engine-parallel", dec.Metrics.PerRound)
+			check(t, "engine-parallel", rows)
 		}
 	})
 	t.Run("sim-observer", func(t *testing.T) {

@@ -39,7 +39,3 @@ func BenchmarkEngineParallel(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkEngineRecordRounds(b *testing.B) {
-	benchGossip(b, 1024, 32, Options{RecordRounds: true})
-}

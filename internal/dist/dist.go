@@ -38,11 +38,12 @@
 // until the round's commit (see Program).
 //
 // Run accounts CONGEST cost as it goes, per receiver: total rounds, total
-// messages, total words and the largest single message (Metrics), plus an
-// optional per-round breakdown (Options.RecordRounds) used by
-// examples/congest and experiment T10. A program that addresses a
-// receiver outside the id space stops the run with an error rather than a
-// panic, so a buggy node program cannot take down a harness process.
+// messages, total words and the largest single message (Metrics), and
+// streams each round's traffic to an optional Options.Observer or
+// Options.Recorder (examples/congest and experiment T10 use them). A
+// program that addresses a receiver outside the id space stops the run
+// with an error rather than a panic, so a buggy node program cannot take
+// down a harness process.
 package dist
 
 import "netdecomp/internal/obs"
@@ -114,8 +115,6 @@ type Options struct {
 	// never exceeds one worker per 64-node chunk of the program, so a
 	// larger value costs nothing extra.
 	Workers int
-	// RecordRounds enables the per-round statistics in Metrics.PerRound.
-	RecordRounds bool
 	// MaxRounds aborts the run with an error if some node is still live
 	// after this many rounds; 0 means no limit. Callers that can bound the
 	// round complexity of their program should set it, turning a
@@ -123,10 +122,10 @@ type Options struct {
 	MaxRounds int
 	// Observer, when non-nil, is invoked once per executed round — after
 	// the round's messages are committed — with that round's statistics.
-	// It streams the same data RecordRounds accumulates, without the
-	// memory cost, and is the hook the unified Decomposer API exposes as
-	// WithObserver. The callback runs on the engine goroutine: a slow
-	// observer slows the run, and it must not call back into the engine.
+	// It is the engine's one per-round stream, and the hook the unified
+	// Decomposer API exposes as WithObserver. The callback runs on the
+	// engine goroutine: a slow observer slows the run, and it must not
+	// call back into the engine.
 	Observer func(RoundStats)
 	// Recorder, when non-nil, accounts every executed round into the
 	// telemetry layer: engine.rounds/messages/words counters, per-round
@@ -151,9 +150,6 @@ type Metrics struct {
 	// MaxMessageWords is the size of the largest single message, the
 	// quantity bounded by the paper's "O(1) words per message" discipline.
 	MaxMessageWords int
-	// PerRound holds one entry per executed round when
-	// Options.RecordRounds is set, else nil.
-	PerRound []RoundStats
 }
 
 // RoundStats is the traffic of a single round.

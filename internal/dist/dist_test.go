@@ -143,7 +143,10 @@ func TestSchedulersBitIdentical(t *testing.T) {
 	// order as the sequential one, for every worker count.
 	const n, rounds = 97, 9 // deliberately not a multiple of the chunk size
 	ref := newGossip(n, rounds)
-	refM, err := Run[words](context.Background(), ref, Options{RecordRounds: true})
+	var refRounds []RoundStats
+	refM, err := Run[words](context.Background(), ref, Options{
+		Observer: func(r RoundStats) { refRounds = append(refRounds, r) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,12 +156,16 @@ func TestSchedulersBitIdentical(t *testing.T) {
 	// math.MaxInt workers is clamped to one per chunk of nodes (here 2).
 	for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, math.MaxInt} {
 		g := newGossip(n, rounds)
-		m, err := Run[words](context.Background(), g, Options{Parallel: true, Workers: workers, RecordRounds: true})
+		var rs []RoundStats
+		m, err := Run[words](context.Background(), g, Options{
+			Parallel: true, Workers: workers,
+			Observer: func(r RoundStats) { rs = append(rs, r) },
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(m, refM) {
-			t.Fatalf("workers=%d: metrics diverged:\n%+v\nwant\n%+v", workers, m, refM)
+		if !reflect.DeepEqual(m, refM) || !reflect.DeepEqual(rs, refRounds) {
+			t.Fatalf("workers=%d: metrics diverged:\n%+v %+v\nwant\n%+v %+v", workers, m, rs, refM, refRounds)
 		}
 		if !reflect.DeepEqual(g.log, ref.log) {
 			t.Fatalf("workers=%d: delivered message streams diverged", workers)
@@ -169,15 +176,18 @@ func TestSchedulersBitIdentical(t *testing.T) {
 func TestPerRoundStats(t *testing.T) {
 	const n, rounds = 10, 5
 	g := newGossip(n, rounds)
-	m, err := Run[words](context.Background(), g, Options{RecordRounds: true})
+	var perRound []RoundStats
+	m, err := Run[words](context.Background(), g, Options{
+		Observer: func(r RoundStats) { perRound = append(perRound, r) },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.PerRound) != m.Rounds {
-		t.Fatalf("PerRound has %d entries, want %d", len(m.PerRound), m.Rounds)
+	if len(perRound) != m.Rounds {
+		t.Fatalf("observer saw %d rounds, want %d", len(perRound), m.Rounds)
 	}
 	var msgs, wrds int64
-	for i, r := range m.PerRound {
+	for i, r := range perRound {
 		if r.Round != i {
 			t.Fatalf("entry %d has round %d", i, r.Round)
 		}
@@ -190,14 +200,6 @@ func TestPerRoundStats(t *testing.T) {
 	}
 	if msgs != m.Messages || wrds != m.Words {
 		t.Fatalf("per-round sums %d/%d don't match totals %d/%d", msgs, wrds, m.Messages, m.Words)
-	}
-	// Without RecordRounds the breakdown must stay nil.
-	m2, err := Run[words](context.Background(), newGossip(n, rounds), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.PerRound != nil {
-		t.Fatal("PerRound populated without RecordRounds")
 	}
 }
 
@@ -402,26 +404,36 @@ func TestContextAlreadyCancelled(t *testing.T) {
 }
 
 func TestObserverStreamsRounds(t *testing.T) {
-	// The observer must see exactly the RecordRounds breakdown, in round
-	// order, on both schedulers.
-	for _, parallel := range []bool{false, true} {
+	// The observer must see one entry per executed round, in round order,
+	// summing to the run's totals, and the same stream on both schedulers.
+	var streams [2][]RoundStats
+	for s, parallel := range []bool{false, true} {
 		var seen []RoundStats
 		m, err := Run[words](context.Background(), newGossip(9, 4), Options{
-			Parallel:     parallel,
-			RecordRounds: true,
-			Observer:     func(r RoundStats) { seen = append(seen, r) },
+			Parallel: parallel,
+			Observer: func(r RoundStats) { seen = append(seen, r) },
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(seen, m.PerRound) {
-			t.Fatalf("parallel=%v: observer stream diverges from PerRound:\n%+v\nwant\n%+v", parallel, seen, m.PerRound)
+		var msgs, wrds int64
+		for _, r := range seen {
+			msgs += r.Messages
+			wrds += r.Words
 		}
+		if len(seen) != m.Rounds || msgs != m.Messages || wrds != m.Words {
+			t.Fatalf("parallel=%v: observer saw %d rounds, %d msgs, %d words; run totals %d/%d/%d",
+				parallel, len(seen), msgs, wrds, m.Rounds, m.Messages, m.Words)
+		}
+		streams[s] = seen
 		for i, r := range seen {
 			if r.Round != i {
 				t.Fatalf("parallel=%v: observer call %d carried round %d", parallel, i, r.Round)
 			}
 		}
+	}
+	if !reflect.DeepEqual(streams[0], streams[1]) {
+		t.Fatalf("observer streams diverge across schedulers:\n%+v\nwant\n%+v", streams[1], streams[0])
 	}
 }
 

@@ -292,17 +292,8 @@ func (e *engine[M]) commit(round, active int) error {
 	e.metrics.Rounds++
 	e.metrics.Messages += msgs
 	e.metrics.Words += words
-	stats := RoundStats{
-		Round:    round,
-		Messages: msgs,
-		Words:    words,
-		Active:   active,
-	}
-	if e.o.RecordRounds {
-		e.metrics.PerRound = append(e.metrics.PerRound, stats)
-	}
 	if e.o.Observer != nil {
-		e.o.Observer(stats)
+		e.o.Observer(RoundStats{Round: round, Messages: msgs, Words: words, Active: active})
 	}
 	e.o.Recorder.Record(round, msgs, words, active)
 	// Swap mailboxes; the delivered round's arenas are recycled for the

@@ -23,10 +23,16 @@ package graph
 import (
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
 )
+
+// MaxVertices is the largest vertex count a Graph can index: the CSR
+// stores vertex ids as int32. Code that takes n from outside the program
+// rejects anything larger before building.
+const MaxVertices = math.MaxInt32
 
 // Interface is the read-only graph contract accepted by every traversal
 // primitive (BFS, Components, Diameter, ...) and every decomposition

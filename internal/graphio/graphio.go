@@ -63,6 +63,9 @@ func Read(r io.Reader) (*graph.Graph, error) {
 			if a < 0 || c < 0 {
 				return nil, fmt.Errorf("graphio: line %d: negative header %d %d", line, a, c)
 			}
+			if a > graph.MaxVertices {
+				return nil, fmt.Errorf("graphio: line %d: %d vertices exceed the limit of %d", line, a, graph.MaxVertices)
+			}
 			n = a
 			b = graph.NewBuilder(n)
 			declared = c

@@ -54,6 +54,7 @@ func TestReadErrors(t *testing.T) {
 		"non-numeric":    "3 1\n0 z\n",
 		"out of range":   "3 1\n0 5\n",
 		"negative n":     "-1 0\n",
+		"n past int32":   "4611686018427387904 0\n",
 		"count mismatch": "3 2\n0 1\n",
 		"extra edges":    "3 1\n0 1\n1 2\n",
 	}

@@ -45,8 +45,8 @@ func T6TruncationEvents(cfg Config) (*Table, error) {
 		t.AddRow(fmtF(c), fmt.Sprintf("%d/%d", bad, trials),
 			fmtF(float64(bad)/float64(trials)), fmt.Sprintf("[%.2f,%.2f]", lo, hi),
 			fmtF(2/c), fmtF(stats.Summarize(events).Mean))
+		t.AtMostRate(fmt.Sprintf("c=%g rate of runs with a truncation event", c), bad, trials, 2/c)
 	}
-	t.AddNote("the empirical probability must sit below (typically far below) the union-bound 2/c, halving as c doubles")
 	return t, nil
 }
 
@@ -107,8 +107,9 @@ func T7SurvivalDecay(cfg Config) (*Table, error) {
 		}
 		t.AddRow(fmtInt(p), fmt.Sprintf("%.4f", mean), fmt.Sprintf("%.4f", env), fmtF(ratio))
 	}
-	t.AddNote("completion within theorem budget: %d/%d runs (bound allows ≥ %.2f)", complete, trials, (1-1/c)*float64(trials))
-	t.AddNote("ratio ≈ 1 means Claim 6's geometric envelope is essentially tight; deviations within ~5%% of 1 are sampling noise of correlated trials")
+	t.AddNote("ratio is shape, not a verdict: Claim 6 bounds an expectation that rare large-radius draws carry, " +
+		"so per-run survival is skewed and a mean over few runs can sit above q^t on correct code")
+	t.AtMostRate("rate of runs not exhausted within the phase budget", trials-complete, trials, 1/c)
 	return t, nil
 }
 
@@ -129,48 +130,4 @@ func checkpoints(max int) []int {
 		cp = append(cp, max)
 	}
 	return cp
-}
-
-// F1SurvivalCurve is the figure-shaped variant of T7: the full per-phase
-// survival curve of one configuration against the geometric envelope.
-func F1SurvivalCurve(cfg Config) (*Table, error) {
-	cfg = cfg.normalize()
-	n := pick(cfg, 384, 2048)
-	trials := cfg.trials(10, 40)
-	g, err := gen.Build(gen.FamilyGnp, n, cfg.Seed+5)
-	if err != nil {
-		return nil, err
-	}
-	k := 5
-	c := 8.0
-	cn := c * float64(g.N())
-	q := 1 - math.Pow(cn, -1/float64(k))
-	t := &Table{
-		ID:      "F1",
-		Title:   fmt.Sprintf("survival fraction per phase (Gnp n=%d, k=%d, mean of %d runs)", g.N(), k, trials),
-		Claim:   "the alive-fraction series decays at least geometrically with rate 1−(cn)^{−1/k}",
-		Columns: []string{"phase", "alive frac", "envelope"},
-	}
-	sums := map[int]float64{}
-	maxPhase := 0
-	for i := 0; i < trials; i++ {
-		dec, err := core.Run(g, core.Options{K: k, C: c, Seed: cfg.Seed + uint64(i)*173})
-		if err != nil {
-			return nil, err
-		}
-		for p, alive := range dec.AlivePerPhase {
-			sums[p] += float64(alive) / float64(g.N())
-			if p > maxPhase {
-				maxPhase = p
-			}
-		}
-	}
-	for p := 0; p <= maxPhase; p++ {
-		mean := sums[p] / float64(trials) // absent phases contribute 0 (graph already empty)
-		t.AddRow(fmtInt(p), fmt.Sprintf("%.4f", mean), fmt.Sprintf("%.4f", math.Pow(q, float64(p))))
-		if mean == 0 {
-			break
-		}
-	}
-	return t, nil
 }

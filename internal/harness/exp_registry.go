@@ -29,7 +29,7 @@ func T14RegistryHeadToHead(cfg Config) (*Table, error) {
 		Title: fmt.Sprintf("registry head-to-head: every algorithm on Gnp n=%d (k=%d)", g.N(), k),
 		Claim: "one Decompose call per registered name; one Partition type reports quality and cost for all of them",
 		Columns: []string{"algo", "mode", "complete", "clusters", "colors", "sdiam", "disc",
-			"wdiam", "rounds", "messages", "valid"},
+			"wdiam", "rounds", "messages"},
 	}
 	for _, name := range decomp.Names() {
 		pl, err := decomp.Compile(name,
@@ -52,10 +52,10 @@ func T14RegistryHeadToHead(cfg Config) (*Table, error) {
 		}
 		t.AddRow(name, p.Mode.String(), fmt.Sprintf("%v", p.Complete),
 			fmtInt(len(p.Clusters)), fmtInt(p.Colors), sdCell, fmtInt(disc), wdCell,
-			fmtInt(p.Metrics.Rounds), fmt.Sprintf("%d", p.Metrics.Messages),
-			fmt.Sprintf("%v", p.Verify(g).Valid()))
+			fmtInt(p.Metrics.Rounds), fmt.Sprintf("%d", p.Metrics.Messages))
+		t.AtMost(name+" violations of its mode's invariants", float64(len(p.Verify(g).Errors)), 0)
 	}
-	t.AddNote("sdiam=inf marks weak-diameter algorithms with disconnected clusters; valid applies each mode's own invariants")
+	t.AddNote("sdiam=inf marks weak-diameter algorithms with disconnected clusters")
 	st := SessionStats()
 	t.AddNote("serving session to date: %d hits, %d misses, %d dedups (repeated (graph, plan, seed) work is cached)",
 		st.Hits, st.Misses, st.Dedups)

@@ -1,20 +1,21 @@
-// Package harness implements the experiment drivers that regenerate every
-// table and figure of EXPERIMENTS.md. The paper is an extended abstract
-// with no empirical section, so each experiment reproduces the *shape* of
-// one theorem, lemma or claim (see DESIGN.md section 6 for the mapping):
+// Package harness implements the experiment drivers that `go run
+// ./cmd/experiments` prints. The paper is an extended abstract with no
+// empirical section, so each experiment reproduces the *shape* of one
+// theorem, lemma or claim (see DESIGN.md section 6 for the mapping):
 // measured quantities are printed next to the bound the paper proves, and
-// the recorded expectation is that the measurement respects the bound and
-// scales the same way.
+// every claim a run can check is a Verdict, PASS or FAIL.
 //
 // Every driver is deterministic in Config.Seed and comes in two sizes:
-// ScaleSmall (seconds; used by the bench_test.go targets and CI) and
-// ScaleFull (the numbers recorded in EXPERIMENTS.md).
+// ScaleSmall (seconds; the default of cmd/experiments, and what the tests,
+// the bench_test.go targets and CI run) and ScaleFull (`-full`, minutes).
 package harness
 
 import (
 	"fmt"
 	"io"
 	"strings"
+
+	"netdecomp/internal/stats"
 )
 
 // Scale selects the experiment size.
@@ -66,10 +67,10 @@ func pick[T any](c Config, small, full T) T {
 	return small
 }
 
-// Table is one reproduced table or figure: a titled grid of cells plus the
-// paper claim it is checked against.
+// Table is one reproduced table: a titled grid of cells, the paper claim
+// it reproduces, and the verdicts that check the claim on this run.
 type Table struct {
-	// ID is the experiment identifier (T1..T15, A1, F1..F3).
+	// ID is the experiment identifier (T1..T15, A1).
 	ID string
 	// Title is the human-readable headline.
 	Title string
@@ -78,9 +79,71 @@ type Table struct {
 	// Columns and Rows hold the rendered grid.
 	Columns []string
 	Rows    [][]string
-	// Notes hold derived observations (fitted exponents, violation
-	// counts) appended below the grid.
+	// Notes hold derived observations (fitted exponents, shape remarks)
+	// appended below the grid. A claim the run can check is a verdict,
+	// not a note.
 	Notes []string
+	// Verdicts hold one checked claim each, in the order checked.
+	Verdicts []Verdict
+}
+
+// Verdict is one checked claim: what is claimed, the value the run
+// observed, the value the claim allows, and whether it held.
+type Verdict struct {
+	Claim    string
+	Observed string
+	Allowed  string
+	Pass     bool
+}
+
+// String renders the verdict as its PASS/FAIL line.
+func (v Verdict) String() string {
+	status := "PASS"
+	if !v.Pass {
+		status = "FAIL"
+	}
+	return fmt.Sprintf("%s  %s: observed %s, allowed %s", status, v.Claim, v.Observed, v.Allowed)
+}
+
+// rateZ is the z of the one-sided Wilson lower bound every rate verdict
+// uses. At z = 3 one verdict fails falsely with probability about 0.13%
+// even when the true rate sits exactly at its bound, so the 34 rate
+// verdicts of a -full run together fail falsely less than 5% of the time.
+const rateZ = 3
+
+// AtMost records a deterministic claim: it holds when observed ≤ allowed.
+func (t *Table) AtMost(claim string, observed, allowed float64) {
+	t.Verdicts = append(t.Verdicts, Verdict{
+		Claim:    claim,
+		Observed: fmtF(observed),
+		Allowed:  "≤ " + fmtF(allowed),
+		Pass:     observed <= allowed,
+	})
+}
+
+// AtMostRate records a probabilistic claim, Pr[event] ≤ allowed, from
+// events seen in trials runs. It fails only when the one-sided Wilson
+// lower bound of the observed rate exceeds allowed: a handful of trials
+// rarely fails it by chance, and many trials far above the bound fail it.
+func (t *Table) AtMostRate(claim string, events, trials int, allowed float64) {
+	lo, _ := stats.WilsonCI(events, trials, rateZ)
+	t.Verdicts = append(t.Verdicts, Verdict{
+		Claim:    claim,
+		Observed: fmt.Sprintf("%d/%d (lower bound %.3f)", events, trials, lo),
+		Allowed:  fmt.Sprintf("≤ %.3f", allowed),
+		Pass:     lo <= allowed,
+	})
+}
+
+// Failed returns the verdicts that did not hold.
+func (t *Table) Failed() []Verdict {
+	var out []Verdict
+	for _, v := range t.Verdicts {
+		if !v.Pass {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // AddRow appends a row of already-formatted cells.
@@ -136,12 +199,17 @@ func (t *Table) Render(w io.Writer) error {
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
+	for _, v := range t.Verdicts {
+		b.WriteString(v.String())
+		b.WriteByte('\n')
+	}
 	b.WriteByte('\n')
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// CSV writes the table as comma-separated values (no claim/notes).
+// CSV writes the table as comma-separated values (no claim, notes or
+// verdicts).
 func (t *Table) CSV(w io.Writer) error {
 	var b strings.Builder
 	writeRow := func(cells []string) {
@@ -194,9 +262,6 @@ func Experiments() []struct {
 		{"T13", "Sequential ball-carving yardstick", T13SequentialYardstick},
 		{"T14", "Registry head-to-head sweep", T14RegistryHeadToHead},
 		{"T15", "Dynamic churn repair vs recompute", T15ChurnRepair},
-		{"F1", "Survival fraction curve", F1SurvivalCurve},
-		{"F2", "Diameter/colors tradeoff frontier", F2TradeoffFrontier},
-		{"F3", "Rounds scaling at k = ceil(ln n)", F3RoundsScaling},
 		{"A1", "Top-k forwarding ablation", A1ForwardingAblation},
 	}
 }

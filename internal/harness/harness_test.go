@@ -16,12 +16,15 @@ func TestTableRender(t *testing.T) {
 	tab.AddRow("1", "2", "3")
 	tab.AddRow("10", "20", "30")
 	tab.AddNote("note %d", 1)
+	tab.AtMost("held", 1, 2)
+	tab.AtMost("broken", 3, 2)
 	var buf bytes.Buffer
 	if err := tab.Render(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"TX", "test table", "something holds", "10", "note 1"} {
+	for _, want := range []string{"TX", "test table", "something holds", "10", "note 1",
+		"PASS  held: observed 1, allowed ≤ 2\n", "FAIL  broken: observed 3, allowed ≤ 2\n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
@@ -44,8 +47,31 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
+// TestVerdicts pins the two verdict helpers at their edges.
+func TestVerdicts(t *testing.T) {
+	cases := []struct {
+		name string
+		add  func(*Table)
+		pass bool
+	}{
+		{"at most, equal", func(t *Table) { t.AtMost("c", 14, 14) }, true},
+		{"at most, one above", func(t *Table) { t.AtMost("c", 15, 14) }, false},
+		{"rate, no events", func(t *Table) { t.AtMostRate("c", 0, 40, 0.0625) }, true},
+		{"rate far above, 40 trials", func(t *Table) { t.AtMostRate("c", 30, 40, 0.5) }, false},
+		{"rate far above, 2 trials", func(t *Table) { t.AtMostRate("c", 2, 2, 0.5) }, true},
+		{"rate above, lower bound just under", func(t *Table) { t.AtMostRate("c", 29, 40, 0.5) }, true},
+	}
+	for _, c := range cases {
+		tab := &Table{}
+		c.add(tab)
+		if len(tab.Verdicts) != 1 || tab.Verdicts[0].Pass != c.pass || (len(tab.Failed()) == 0) != c.pass {
+			t.Errorf("%s: verdicts %+v, failed %+v, want one with Pass=%v", c.name, tab.Verdicts, tab.Failed(), c.pass)
+		}
+	}
+}
+
 func TestLookup(t *testing.T) {
-	if Lookup("T1") == nil || Lookup("t10") == nil || Lookup("F3") == nil {
+	if Lookup("T1") == nil || Lookup("t10") == nil || Lookup("A1") == nil {
 		t.Fatal("known experiment not found")
 	}
 	if Lookup("T99") != nil {
@@ -88,7 +114,8 @@ func TestCheckpoints(t *testing.T) {
 }
 
 // TestAllExperimentsRunSmall executes every driver at a reduced size; this
-// is the integration test that the whole harness produces sane tables.
+// is the integration test that the whole harness produces sane tables and
+// that every claim it checks holds.
 func TestAllExperimentsRunSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness integration test skipped in -short mode")
@@ -111,6 +138,9 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 				if len(row) != len(tab.Columns) {
 					t.Fatalf("%s: row width %d != %d columns", e.ID, len(row), len(tab.Columns))
 				}
+			}
+			for _, v := range tab.Failed() {
+				t.Errorf("%s: %s", e.ID, v)
 			}
 			var buf bytes.Buffer
 			if err := tab.Render(&buf); err != nil {

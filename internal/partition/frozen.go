@@ -30,7 +30,7 @@ type Frozen struct {
 	complete     bool
 	mode         DiameterMode
 	properColors bool
-	metrics      dist.Metrics // PerRound is a private copy
+	metrics      dist.Metrics
 	cutEdges     int
 	cutFraction  float64
 
@@ -76,7 +76,6 @@ func (p *Partition) Freeze() (*Frozen, error) {
 		cutFraction:  p.CutFraction,
 		nAssigned:    len(p.ClusterOf),
 	}
-	f.metrics.PerRound = append([]dist.RoundStats(nil), p.Metrics.PerRound...)
 	kept := len(p.ClusterOf)
 	if impliedByMembers(p) {
 		kept = 0
@@ -184,7 +183,6 @@ func (f *Frozen) Partition() *Partition {
 		CutEdges:     f.cutEdges,
 		CutFraction:  f.cutFraction,
 	}
-	p.Metrics.PerRound = append([]dist.RoundStats(nil), f.metrics.PerRound...)
 	if f.nAssigned > 0 { // nil when empty, as Clone leaves it
 		p.ClusterOf = make([]int, f.nAssigned)
 		assignment(f, p.ClusterOf)

@@ -36,10 +36,6 @@ func randomPartition(r *rand.Rand) *partition.Partition {
 			Rounds: r.Intn(50), Messages: r.Int63(), Words: r.Int63(), MaxMessageWords: r.Intn(4),
 		},
 	}
-	for i := r.Intn(3); i > 0; i-- {
-		p.Metrics.PerRound = append(p.Metrics.PerRound,
-			dist.RoundStats{Round: r.Intn(9), Messages: r.Int63(), Words: r.Int63(), Active: r.Intn(n + 1)})
-	}
 	switch r.Intn(3) {
 	case 0: // nil ClusterOf
 	case 1:

@@ -9,10 +9,6 @@ package partition
 // encoding/json quotes them, and floats are rendered with strconv's
 // shortest round-trip form ('g', -1), which is deterministic across
 // platforms — no exponent/precision drift.
-//
-// Metrics.PerRound is deliberately omitted: per-round statistics are a
-// stream (the SSE endpoint), not part of the stable result document, and
-// including them would make response size O(rounds).
 
 import (
 	"fmt"
@@ -109,8 +105,7 @@ func AppendJSONString(b []byte, s string) []byte {
 // cutFraction. It is the one partition encoder: Partition.MarshalJSON and
 // Cluster.MarshalJSON delegate to it, and the serving daemon writes it
 // straight into its response buffer. The document is byte-stable for
-// equal partitions across builds and platforms; Metrics.PerRound is not
-// included (see the package comment above).
+// equal partitions across builds and platforms.
 func (f *Frozen) AppendJSON(b []byte) []byte {
 	b = append(b, `{"algorithm":`...)
 	b = AppendJSONString(b, f.algorithm)

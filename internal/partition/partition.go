@@ -122,7 +122,6 @@ func (p *Partition) Clone() *Partition {
 		cp.Clusters[i] = c
 	}
 	cp.ClusterOf = append([]int(nil), p.ClusterOf...)
-	cp.Metrics.PerRound = append([]dist.RoundStats(nil), p.Metrics.PerRound...)
 	return &cp
 }
 

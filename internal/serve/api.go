@@ -67,8 +67,8 @@ func (sp GraphSpec) Build() (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sp.N < 1 {
-		return nil, fmt.Errorf("graph spec: n must be positive, got %d", sp.N)
+	if sp.N < 1 || sp.N > graph.MaxVertices {
+		return nil, fmt.Errorf("graph spec: n must be in [1, %d], got %d", graph.MaxVertices, sp.N)
 	}
 	return gen.Build(fam, sp.N, sp.Seed)
 }

@@ -160,6 +160,24 @@ func TestRegisterGraphBySpecAndUpload(t *testing.T) {
 		t.Fatalf("malformed upload: status %d", resp.StatusCode)
 	}
 
+	// A vertex count the int32 CSR cannot index is a 400 naming the
+	// limit, whether a spec or an upload header asks for it.
+	for _, c := range []struct{ ctype, body string }{
+		{"application/json", `{"family":"path","n":4611686018427387904}`},
+		{"text/plain", "4611686018427387904 0\n"},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/graphs", c.ctype, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "2147483647") {
+			t.Fatalf("n = 1<<62 (%s): status %d, error %q (%v)", c.ctype, resp.StatusCode, e.Error, err)
+		}
+	}
+
 	// Listing returns both graphs in deterministic order.
 	var list []GraphInfo
 	getJSON(t, ts.URL+"/v1/graphs", &list)

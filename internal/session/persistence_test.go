@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"netdecomp/internal/decomp"
-	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
 	"netdecomp/internal/graph"
 	"netdecomp/internal/randx"
@@ -66,10 +65,6 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			}
 			p.Metrics.Rounds = rng.Intn(100)
 			p.Metrics.Messages = rng.Int63n(1000)
-			for r := 0; r < rng.Intn(4); r++ {
-				p.Metrics.PerRound = append(p.Metrics.PerRound,
-					dist.RoundStats{Round: r, Messages: rng.Int63n(50), Words: rng.Int63n(99), Active: rng.Intn(n)})
-			}
 			members := []int{}
 			for v := 0; v < n; v++ {
 				members = append(members, v)
