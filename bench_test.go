@@ -90,6 +90,15 @@ func BenchmarkT12Spanners(b *testing.B) { benchDriver(b, "T12") }
 // bound.
 func BenchmarkT13SequentialYardstick(b *testing.B) { benchDriver(b, "T13") }
 
+// BenchmarkT14RegistryHeadToHead regenerates table T14: every registered
+// algorithm decomposes the same graph, reported through one Partition type.
+func BenchmarkT14RegistryHeadToHead(b *testing.B) { benchDriver(b, "T14") }
+
+// BenchmarkT15ChurnRepair regenerates table T15: certified repair against
+// recompute under Poisson churn on the torus. Each batch runs Apply,
+// Compact and two Maintainer updates.
+func BenchmarkT15ChurnRepair(b *testing.B) { benchDriver(b, "T15") }
+
 // BenchmarkA1ForwardingAblation regenerates ablation A1: top-2 forwarding
 // is lossless, top-1 is not.
 func BenchmarkA1ForwardingAblation(b *testing.B) { benchDriver(b, "A1") }

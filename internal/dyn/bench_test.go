@@ -12,7 +12,9 @@ package dyn
 // degrades to recompute — that regime is covered by the 5% row falling
 // back.) CI gates both 0.1% rows and checks the live ratio between them
 // stays at least 3x; the 1% and 5% rows are informational and document
-// the crossover.
+// the crossover. At the end, BenchmarkOverlayCompact and
+// BenchmarkOverlayMaterialize compact one 0.1% overlay both ways; a
+// manifest check keeps the splice at least 4x faster than the rebuild.
 
 import (
 	"context"
@@ -95,8 +97,9 @@ func runUpdates(b *testing.B, m *Maintainer, rng *randx.SplitMix64, frac float64
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Compact off the clock too: the CSR rebuild is the ingest cost of
-		// the new version, identical on both sides, not part of repair.
+		// Compact off the clock too: splicing the patched rows into a flat
+		// CSR is the ingest cost of the new version, identical on both
+		// sides, not part of repair.
 		c := next.Compact()
 		b.StartTimer()
 		if _, _, err := m.Update(ctx, c, res.Effective); err != nil {
@@ -127,5 +130,42 @@ func BenchmarkDynRecompute(b *testing.B) {
 			m, rng := benchMaintainer(b, true)
 			runUpdates(b, m, rng, r.frac)
 		})
+	}
+}
+
+// benchOverlay is the benchmark torus carrying one balanced 0.1% batch:
+// the overlay a small repair-torus op compacts (about 260 patched rows).
+func benchOverlay(b *testing.B) *Overlay {
+	b.Helper()
+	g, err := gen.Build(gen.FamilyTorus, benchN, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o, _, err := Wrap(g).Apply(benchBatch(randx.New(0xbe7c4), g, int(0.001*float64(g.M()))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return o
+}
+
+// BenchmarkOverlayCompact measures Compact, the splice of the patched rows
+// into a copy of the base CSR. BENCH_gates.json checks that
+// BenchmarkOverlayMaterialize, the edge-stream rebuild of the same
+// overlay, stays at least 4x slower.
+func BenchmarkOverlayCompact(b *testing.B) {
+	o := benchOverlay(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		o.Compact()
+	}
+}
+
+// BenchmarkOverlayMaterialize measures Materialize on the same overlay:
+// two passes of the edge stream through Neighbors, then a sort per row.
+func BenchmarkOverlayMaterialize(b *testing.B) {
+	o := benchOverlay(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		Materialize(o)
 	}
 }

@@ -13,10 +13,10 @@
 // immutability contract) — so the session cache and serving registries key
 // mutated graphs correctly for free.
 //
-// Past a delta threshold the overlay should be re-materialized into a flat
-// CSR graph with Compact: reads through the patch map cost a lookup per
-// row, and a long mutation history buys nothing once the damage is woven
-// in.
+// Past a delta threshold the overlay should be compacted into a flat CSR
+// graph with Compact, which splices the patched rows into a copy of the
+// base CSR: reads through the patch map cost a lookup per row, and a long
+// mutation history buys nothing once the damage is woven in.
 //
 // The maintenance engine (Maintainer, maintainer.go) pairs the overlay
 // with internal/core's repair path: Elkin–Neiman ball growing has locally
@@ -245,15 +245,16 @@ func rowHas(row []int32, w int32) bool {
 	return ok
 }
 
-// Compact re-materializes this version into a flat immutable CSR graph
-// with the same (n, edge set) — and therefore the same fingerprint. Call
-// it once DeltaSize passes the serving layer's threshold: the compacted
-// graph reads without the patch-map lookup and drops the mutation
-// history.
-func (o *Overlay) Compact() *graph.Graph { return Materialize(o) }
+// Compact returns this version as a flat immutable CSR graph: a copy of
+// the base CSR with the patched rows spliced in (graph.Graph.Splice), with
+// no edge stream and no sort. Its CSR arrays, edge count and fingerprint
+// equal Materialize's. The compacted graph reads without the patch-map
+// lookup and drops the mutation history.
+func (o *Overlay) Compact() *graph.Graph { return o.base.Splice(o.rows) }
 
 // Materialize builds a flat CSR copy of any graph backend via the
-// two-pass stream path (no intermediate edge staging).
+// two-pass stream path (no intermediate edge staging). Wrap uses it for
+// backends that are not a *graph.Graph.
 func Materialize(g graph.Interface) *graph.Graph {
 	return graph.FromStream(g.N(), func(yield func(u, v int)) {
 		for u, v := range graph.EdgeSeq(g) {

@@ -2,6 +2,7 @@ package dyn
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -239,36 +240,110 @@ func TestOverlayFingerprintNeverAliasesBase(t *testing.T) {
 	}
 }
 
-func TestOverlayCompact(t *testing.T) {
+// compactCase is an overlay for TestOverlayCompact: a base graph, the
+// batches applied to it in order (one Apply generation each) and the
+// number of rows they patch (-1: not checked).
+type compactCase struct {
+	name    string
+	base    *graph.Graph
+	batches []Batch
+	patched int
+}
+
+func ins(u, v int32) Mutation { return Mutation{Op: OpInsert, U: u, V: v} }
+func del(u, v int32) Mutation { return Mutation{Op: OpDelete, U: u, V: v} }
+
+// compactCases are the splice's edge cases, then random overlays.
+func compactCases() []compactCase {
+	cases := []compactCase{
+		{"no patched rows", gen.Path(8), []Batch{{ins(0, 1), del(2, 5)}}, 0},
+		{"vertex 0 patched", gen.Cycle(10), []Batch{{ins(0, 5)}}, 2},
+		{"vertex n-1 patched", gen.Cycle(10), []Batch{{ins(9, 4)}}, 2},
+		{"row deleted down to empty", gen.Path(6), []Batch{{del(1, 2), del(2, 3)}}, 3},
+		{"isolated vertex gains edges", graph.FromEdges(6, [][2]int{{0, 1}, {1, 2}, {4, 5}}), []Batch{{ins(3, 0), ins(5, 3)}}, 3},
+		{"every vertex patched", gen.Cycle(8), []Batch{{del(0, 1), del(2, 3), del(4, 5), del(6, 7), ins(0, 4), ins(3, 7)}}, 8},
+		{"n = 2", graph.FromEdges(2, nil), []Batch{{ins(0, 1)}}, 2},
+	}
 	rng := randx.New(21)
-	base := gen.Gnp(rng, 50, 0.1)
-	o := Wrap(base)
-	model := modelOf(o)
-	for i := 0; i < 4; i++ {
-		var err error
+	gens := compactCase{"several Apply generations", gen.Gnp(rng, 50, 0.1), nil, -1}
+	model := modelOf(gens.base)
+	for range 4 {
 		b := randomBatch(rng, model, 50, 8)
-		o, _, err = o.Apply(b)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, mut := range b {
 			model.apply(mut)
 		}
+		gens.batches = append(gens.batches, b)
 	}
-	flat := o.Compact()
-	if flat.N() != o.N() || flat.M() != o.M() {
-		t.Fatalf("compact shape (%d,%d), overlay (%d,%d)", flat.N(), flat.M(), o.N(), o.M())
-	}
-	if got := modelOf(flat); fmt.Sprint(got) != fmt.Sprint(model) && len(got) != len(model) {
-		t.Fatalf("compact edge count %d != model %d", len(got), len(model))
-	}
-	for v := 0; v < o.N(); v++ {
-		if !slices.Equal(flat.Neighbors(v), o.Neighbors(v)) {
-			t.Fatalf("row %d differs after compact", v)
+	cases = append(cases, gens)
+	for i := range 10 {
+		base := gen.Torus(8, 4+i)
+		if i%2 == 1 {
+			base = gen.Gnp(rng, 16+rng.Intn(48), 0.12)
 		}
+		c := compactCase{fmt.Sprintf("random %d", i), base, nil, -1}
+		model := modelOf(base)
+		for range 1 + rng.Intn(3) {
+			b := randomBatch(rng, model, base.N(), 1+rng.Intn(12))
+			for _, mut := range b {
+				model.apply(mut)
+			}
+			c.batches = append(c.batches, b)
+		}
+		cases = append(cases, c)
 	}
-	if flat.Fingerprint() != o.Fingerprint() {
-		t.Fatalf("compact fingerprint %x != overlay %x", flat.Fingerprint(), o.Fingerprint())
+	return cases
+}
+
+// TestOverlayCompact pins Compact to Materialize: the same CSR arrays, M
+// and fingerprint on every case, and no memory shared with the base graph
+// or the overlay's rows.
+func TestOverlayCompact(t *testing.T) {
+	for _, tc := range compactCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			o := Wrap(tc.base)
+			model := modelOf(tc.base)
+			for _, b := range tc.batches {
+				var err error
+				if o, _, err = o.Apply(b); err != nil {
+					t.Fatal(err)
+				}
+				for _, mut := range b {
+					model.apply(mut)
+				}
+			}
+			if tc.patched >= 0 && len(o.rows) != tc.patched {
+				t.Fatalf("%d patched rows, the case wants %d", len(o.rows), tc.patched)
+			}
+			flat, ref := o.Compact(), Materialize(o)
+			gotOff, gotNbr := flat.CSR()
+			refOff, refNbr := ref.CSR()
+			if !slices.Equal(gotOff, refOff) || !slices.Equal(gotNbr, refNbr) {
+				t.Fatalf("CSR differs from Materialize:\noffsets   %v\nwant      %v\nneighbors %v\nwant      %v",
+					gotOff, refOff, gotNbr, refNbr)
+			}
+			if flat.M() != ref.M() || flat.M() != o.M() {
+				t.Fatalf("M: compact %d, materialize %d, overlay %d", flat.M(), ref.M(), o.M())
+			}
+			if got := modelOf(flat); !maps.Equal(got, model) {
+				t.Fatalf("compact edge set (%d edges) differs from the model (%d edges)", len(got), len(model))
+			}
+			if flat.Fingerprint() != ref.Fingerprint() || flat.Fingerprint() != o.Fingerprint() {
+				t.Fatalf("fingerprint: compact %x, materialize %x, overlay %x",
+					flat.Fingerprint(), ref.Fingerprint(), o.Fingerprint())
+			}
+			// Scribble over the compacted copy: the base and the overlay's
+			// rows must not see it.
+			baseRef := Materialize(tc.base)
+			clear(gotOff)
+			for i := range gotNbr {
+				gotNbr[i] = -1
+			}
+			for v := range o.N() {
+				if !slices.Equal(o.Neighbors(v), ref.Neighbors(v)) || !slices.Equal(tc.base.Neighbors(v), baseRef.Neighbors(v)) {
+					t.Fatalf("row %d changed with the compacted copy", v)
+				}
+			}
+		})
 	}
 }
 

@@ -8,11 +8,12 @@
 // flat neighbors array for the whole graph, so a BFS touches two cache-
 // friendly slices instead of chasing one heap allocation per vertex.
 // Graphs are immutable once built: construct them with a Builder, the
-// two-pass FromStream path, or one of the internal/gen generators, then
-// share them freely across goroutines. Vertices are dense integers
-// 0..N()-1, which is also the identifier space the distributed model
-// assumes ("distinct identity numbers from the range {1..n}", Elkin–Neiman
-// Section 1.1, shifted to 0-based here).
+// two-pass FromStream path or one of the internal/gen generators, or
+// Splice replaced rows into a copy of an existing graph, then share them
+// freely across goroutines. Vertices are dense integers 0..N()-1, which
+// is also the identifier space the distributed model assumes ("distinct
+// identity numbers from the range {1..n}", Elkin–Neiman Section 1.1,
+// shifted to 0-based here).
 //
 // The read-only Interface (N/Degree/Neighbors) is the contract every
 // traversal primitive and decomposition algorithm accepts; *Graph and the
@@ -23,6 +24,7 @@ package graph
 import (
 	"fmt"
 	"iter"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -292,6 +294,49 @@ func FromStream(n int, stream func(yield func(u, v int))) *Graph {
 		cursor[v]++
 	})
 	return finishCSR(n, offsets, neighbors)
+}
+
+// Splice returns a copy of g in which the adjacency row of every vertex v
+// in rows is replaced by rows[v]; every other row is copied unchanged.
+// One pass over offsets shifts each run of unchanged rows by the length
+// change of the rows replaced before it, and neighbors is filled by one
+// copy per run of unchanged rows and one per replaced row: no edge stream
+// and no sort.
+//
+// The replaced rows must keep the Interface contract (sorted strictly
+// ascending, in range, no self-loops) and leave the edge set symmetric.
+// Splice checks neither; its caller, the dyn overlay, patches both
+// endpoints of every edge it changes. A key outside [0, N()) panics. The
+// result shares no memory with g or rows.
+func (g *Graph) Splice(rows map[int32][]int32) *Graph {
+	n := g.N()
+	vs := slices.AppendSeq(make([]int32, 0, len(rows)+1), maps.Keys(rows))
+	slices.Sort(vs)
+	size := len(g.neighbors)
+	for _, v := range vs {
+		size += len(rows[v]) - g.Degree(int(v))
+	}
+	offsets := make([]int64, n+1)
+	neighbors := make([]int32, 0, size)
+	// Each v ends a run of unchanged rows starting at from; n ends the last.
+	from := 0
+	for _, v := range append(vs, int32(n)) {
+		to := int(v)
+		if from < to {
+			shift := int64(len(neighbors)) - g.offsets[from]
+			for u := from; u < to; u++ {
+				offsets[u] = g.offsets[u] + shift
+			}
+			neighbors = append(neighbors, g.neighbors[g.offsets[from]:g.offsets[to]]...)
+		}
+		if to < n {
+			offsets[to] = int64(len(neighbors))
+			neighbors = append(neighbors, rows[v]...)
+		}
+		from = to + 1
+	}
+	offsets[n] = int64(len(neighbors))
+	return &Graph{offsets: offsets, neighbors: neighbors, m: len(neighbors) / 2}
 }
 
 // Package-level primitives over Interface. Each mirrors a *Graph method so

@@ -42,6 +42,9 @@ func TestZeroValueGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 || g.MaxDegree() != 0 {
 		t.Fatal("zero-value Graph is not the empty graph")
 	}
+	if s := g.Splice(nil); s.N() != 0 || s.M() != 0 {
+		t.Fatalf("Splice of the zero-value Graph: n=%d m=%d", s.N(), s.M())
+	}
 }
 
 func TestBuilderDedupAndSelfLoops(t *testing.T) {
