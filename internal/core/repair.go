@@ -45,18 +45,23 @@ package core
 // tables always describe the latest graph and nothing of older runs stays
 // reachable. A phase re-simulated whole gets a fresh table.
 //
-// The composed join set is clustered in the same order buildClusters gives
-// a scratch run on the new graph, adopting unchanged prior clusters
-// wholesale, so cluster ordering, centers, colors, and center-violation
-// accounting all match. The returned Decomposition is
-// content-identical to Run(g, o) on the mutated graph — Clusters,
-// ClusterOf, Colors, PhasesUsed, AlivePerPhase, Complete,
-// TruncationEvents, CenterViolations all match — while the traffic metrics
-// (Metrics: Rounds, Messages, Words, MaxMessageWords) account the repair's
-// own, much smaller, simulation: that difference is the speedup being
-// bought.
+// The bookkeeping follows the damage, not n. The new run's join phases and
+// centers start as copies of the prior run's and only re-simulated
+// vertices write them; a vertex is alive at phase p iff its join phase is
+// −1 or at least p, in either run, because outside the region the new run
+// repeats the prior one. Only the region can diverge, and each phase's
+// clean prior clusters, one contiguous range of the prior list, are copied
+// in runs and merged by smallest member with the few rebuilt ones (the
+// order buildClusters gives), so Clusters, ClusterOf, Colors, PhasesUsed,
+// AlivePerPhase, Complete, TruncationEvents and CenterViolations all equal
+// Run(g, o) on the mutated graph. What stays O(n) per call is the output
+// (the cluster list, ClusterOf, the two copied arrays), the region masks
+// and the phase runner. Metrics (Rounds, Messages, Words,
+// MaxMessageWords) account the repair's own, much smaller, simulation:
+// that difference is the speedup being bought.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -176,14 +181,17 @@ type RepairState struct {
 	// the state it is given (leaving nil) into the state it returns, so a
 	// state already consumed carries none and repairs by recompute.
 	phases []*phaseFinals
-	// The prior run's cluster list and vertex→cluster index (shared with
-	// the Decomposition that produced them, immutable by convention).
-	// Repair adopts clusters of untouched components wholesale — member
-	// slices included — and rebuilds only components reached by membership
-	// changes or changed edges, so steady-state cluster extraction costs
-	// the damage, not the graph.
-	clusters  []partition.Cluster
-	clusterOf []int
+	// The run's cluster list and vertex→cluster index (shared with the
+	// Decomposition that produced them, immutable by convention). Phase p's
+	// clusters are clusters[offsets[p]:offsets[p+1]], and violations[p] of
+	// them have members that chose more than one center. Repair copies the
+	// clean clusters of each phase in runs — member slices included — and
+	// rebuilds only those its region reaches, so steady-state cluster
+	// extraction costs the damage, not the graph.
+	clusters   []partition.Cluster
+	clusterOf  []int
+	offsets    []int
+	violations []int
 }
 
 // RunRepairable executes a full decomposition and returns the repair state
@@ -218,7 +226,29 @@ func RunRepairable(g graph.Interface, o Options) (*Decomposition, *RepairState, 
 		return nil, nil, err
 	}
 	st.clusters, st.clusterOf = dec.Clusters, dec.ClusterOf
+	st.offsets = make([]int, len(st.phases)+1)
+	st.violations = make([]int, len(st.phases))
+	for _, c := range dec.Clusters {
+		st.offsets[c.Phase+1]++
+		if mixedCenters(c.Members, st.center) {
+			st.violations[c.Phase]++
+		}
+	}
+	for p := range st.phases {
+		st.offsets[p+1] += st.offsets[p]
+	}
 	return dec, st, nil
+}
+
+// mixedCenters reports whether a cluster's members chose more than one
+// center.
+func mixedCenters(members []int, center []int32) bool {
+	for _, u := range members[1:] {
+		if center[u] != center[members[0]] {
+			return true
+		}
+	}
+	return false
 }
 
 // EdgeChange is one effective edge mutation between the prior run's graph
@@ -229,6 +259,21 @@ type EdgeChange struct {
 	// graph but not the old, false for a deletion.
 	Insert bool
 }
+
+// FallbackCause names why a repair fell back to a full recompute, as a
+// metric-safe word: a phase's region passed the cap, its growth did not
+// converge, or there was no prior state (none for this vertex count, or
+// one already consumed).
+type FallbackCause string
+
+const (
+	CauseRegionCap     FallbackCause = "region_cap"
+	CauseNoConvergence FallbackCause = "no_convergence"
+	CauseNoState       FallbackCause = "no_state"
+)
+
+// FallbackCauses lists every FallbackCause.
+var FallbackCauses = []FallbackCause{CauseRegionCap, CauseNoConvergence, CauseNoState}
 
 // RepairStats reports what a repair did.
 type RepairStats struct {
@@ -242,8 +287,10 @@ type RepairStats struct {
 	// re-simulated vertex; TotalClusters is len(Clusters).
 	RepairedClusters int
 	TotalClusters    int
-	// FellBack reports a full recompute happened instead, with the reason.
+	// FellBack reports a full recompute happened instead: FallbackCause
+	// says why, FallbackReason in words.
 	FellBack       bool
+	FallbackCause  FallbackCause
 	FallbackReason string
 }
 
@@ -261,10 +308,10 @@ type RepairStats struct {
 func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange) (*Decomposition, *RepairState, RepairStats, error) {
 	n := g.N()
 	if st == nil || st.n != n {
-		return repairFallback(g, o, RepairStats{}, "no prior state for this vertex count")
+		return repairFallback(g, o, RepairStats{}, CauseNoState, "no prior state for this vertex count")
 	}
 	if st.phases == nil {
-		return repairFallback(g, o, RepairStats{}, "prior state already consumed")
+		return repairFallback(g, o, RepairStats{}, CauseNoState, "prior state already consumed")
 	}
 	for _, c := range changes {
 		if c.U < 0 || int(c.U) >= n || c.V < 0 || int(c.V) >= n || c.U == c.V {
@@ -275,7 +322,7 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange)
 	if err != nil {
 		return nil, nil, RepairStats{}, err
 	}
-	for phase := 0; len(r.aliveNewList) > 0; phase++ {
+	for phase := 0; r.alive > 0; phase++ {
 		if phase >= r.sched.budget && !r.o.ForceComplete {
 			break
 		}
@@ -284,32 +331,33 @@ func Repair(g graph.Interface, o Options, st *RepairState, changes []EdgeChange)
 		}
 		r.startPhase(phase)
 		r.sources()
-		rs, unionMax := r.radiusStats(phase)
+		rs, unionMax := r.radiusStats()
 		r.dec.TruncationEvents += rs.trunc
 		// A tabled phase is certified by delta simulation — trivially, with
 		// an empty region, when nothing diverges — unless a draw in either
 		// run is truncated; every other phase is re-simulated whole.
-		var joined []int
 		if phase < len(r.tables) && (len(r.srcList) == 0 || !r.truncated(unionMax)) {
-			if reason := r.certify(phase, unionMax); reason != "" {
-				return repairFallback(g, o, r.stats, reason)
+			if cause, reason := r.certify(unionMax); cause != "" {
+				return repairFallback(g, o, r.stats, cause, reason)
 			}
-			joined = r.compose(phase)
-			r.patchTable(phase, rs)
+			r.patchTable(rs)
 		} else {
-			joined = r.resimulate(phase, rs)
+			r.resimulate(rs)
 		}
-		r.patchClusters(joined, phase)
-		r.advance(joined, phase)
+		r.compose()
+		r.patchClusters()
+		r.advance()
 	}
 	return r.finish()
 }
 
-// repairer is one Repair call's working set: both runs' alive sets and
-// their difference, the region and cluster scratch, the phase runner, and
-// the decomposition and state being built. Repair's phase loop calls its
-// steps in order; every step leaves the scratch masks it set cleared,
-// except certify, whose region compose reads and clears.
+// repairer is one Repair call's working set: the new run's state being
+// patched, the divergence and region lists, the region and cluster
+// scratch, and the phase runner. Neither run's alive set is stored; both
+// are read off the join phases (aliveAt), so a phase's bookkeeping costs
+// its region, not n. Repair's phase loop calls the steps in order; every
+// step leaves the scratch masks it set cleared, except certify, whose
+// region R the later steps read and advance clears.
 type repairer struct {
 	g         graph.Interface
 	n         int
@@ -317,45 +365,44 @@ type repairer struct {
 	sched     schedule
 	maxPhases int
 	regionCap int
-	beta      float64 // the current phase's exponential rate
+	phase     int     // the phase being settled
+	beta      float64 // its exponential rate
 
-	// The prior run: its joins, centers and clusters, its per-phase join
-	// sets (ascending) and its per-phase tables, which Repair now owns.
-	prior   *RepairState
-	oldJoin [][]int32
-	tables  []*phaseFinals
+	// The prior run and its per-phase tables, which Repair now owns.
+	prior  *RepairState
+	tables []*phaseFinals
 	// delAdj holds the deleted edges: the union graph region growth walks
 	// is g plus these rows. chg holds the changes whose endpoints are both
 	// alive in either run.
 	delAdj map[int32][]int32
 	chg    []EdgeChange
 
-	aliveOld, aliveNew []bool
-	aliveNewList       []int32 // ascending
-	diffMask           []bool
-	diffList           []int32 // exactly {v : aliveOld[v] ≠ aliveNew[v]}
-	srcMask            []bool
-	srcList            []int32 // the phase's divergence sources
+	alive    int     // the new run's alive count entering the phase
+	aliveBuf []int32 // the new alive set, listed by aliveList
+	diffList []int32 // exactly the vertices whose survival the runs disagree on
+	srcMask  []bool
+	srcList  []int32 // the phase's divergence sources
 
-	// Region scratch. rMask/rList hold the certified region R (vertices
-	// alive in either run) and trusted its new-alive part, ascending;
+	// Region scratch. rMask/rList hold the region R (vertices alive in
+	// either run, a superset of the divergence list) and trusted its
+	// new-alive part, whose outcome the phase simulation decides;
 	// simMask/simList one component's simulation set, shellMask/shellList
 	// its frozen shell; compMask/compList the component itself.
+	// regionEver/everList the vertices trusted in some phase.
 	rMask, simMask, shellMask, compMask []bool
 	rList, trusted, simList, shellList  []int32
-	compList, visitedList               []int32
+	compList, visitedList, everList     []int32
 	dirtySeeds, seedsBuf, failList      []int32
-	regionEver                          []bool // re-simulated in some phase
+	regionEver                          []bool
 
-	// Cluster scratch: centers[v] is the center v chose in the current
-	// phase, joinedMask marks the phase's join set, assignedMask the
-	// joiners already placed into a cluster, dirtyMask the prior clusters
-	// that cannot be adopted this phase.
-	centers                  []int
-	joinedMask, assignedMask []bool
-	dirtyMask                []bool
-	dirtyList                []int
-	queue                    []int32
+	// Cluster scratch: dirtyMask/dirtyList the prior clusters that cannot
+	// be copied this phase, assignedMask the joiners rebuilt clusters
+	// hold, rebuilt those clusters.
+	dirtyMask    []bool
+	dirtyList    []int
+	assignedMask []bool
+	queue        []int32
+	rebuilt      []partition.Cluster
 
 	runner *phaseRunner
 	dec    *Decomposition
@@ -378,27 +425,27 @@ func newRepairer(g graph.Interface, o Options, st *RepairState, changes []EdgeCh
 		maxPhases:    sched.budget,
 		regionCap:    max(1, int(maxRegionFraction*float64(n))),
 		prior:        st,
-		oldJoin:      make([][]int32, len(st.phases)),
 		tables:       st.phases,
 		delAdj:       map[int32][]int32{},
 		chg:          slices.Clone(changes),
-		aliveOld:     make([]bool, n),
-		aliveNew:     make([]bool, n),
-		aliveNewList: make([]int32, n),
-		diffMask:     make([]bool, n),
+		alive:        n,
 		srcMask:      make([]bool, n),
 		rMask:        make([]bool, n),
 		simMask:      make([]bool, n),
 		shellMask:    make([]bool, n),
 		compMask:     make([]bool, n),
 		regionEver:   make([]bool, n),
-		centers:      make([]int, n),
-		joinedMask:   make([]bool, n),
-		assignedMask: make([]bool, n),
 		dirtyMask:    make([]bool, len(st.clusters)),
+		assignedMask: make([]bool, n),
 		runner:       newPhaseRunner(g),
 		dec:          newDecomposition(n, o2, sched),
-		next:         &RepairState{n: n, joinPhase: make([]int32, n), center: make([]int32, n)},
+		next: &RepairState{
+			n:          n,
+			joinPhase:  slices.Clone(st.joinPhase),
+			center:     slices.Clone(st.center),
+			offsets:    make([]int, 0, len(st.offsets)+1),
+			violations: make([]int, 0, len(st.violations)+1),
+		},
 	}
 	st.phases = nil
 	if o2.ForceComplete {
@@ -410,39 +457,36 @@ func newRepairer(g graph.Interface, o Options, st *RepairState, changes []EdgeCh
 			r.delAdj[c.V] = append(r.delAdj[c.V], c.U)
 		}
 	}
-	for v, p := range st.joinPhase {
-		if p >= 0 {
-			r.oldJoin[p] = append(r.oldJoin[p], int32(v))
-		}
-	}
-	for v := range n {
-		r.aliveOld[v], r.aliveNew[v] = true, true
-		r.aliveNewList[v] = int32(v)
-		r.next.joinPhase[v], r.next.center[v] = -1, none
-	}
-	// The prior run's cluster count is a near-exact capacity estimate;
-	// growing this slice inside emitCluster otherwise dominates the
-	// small-batch repair floor (tens of thousands of Cluster appends).
+	// The prior run's cluster count is a near-exact capacity estimate, so
+	// the runs copied in each phase never regrow the list.
 	r.dec.Clusters = make([]partition.Cluster, 0, len(st.clusters)+16)
-	// Start from the prior run's assignment: adopted clusters whose index
-	// did not shift then skip their per-member writes entirely, which
-	// removes the last O(n) random-write pass from small repairs. Vertices
-	// the new run leaves unclustered are fixed up by finish; every other
-	// vertex is covered by an emitCluster call.
-	copy(r.dec.ClusterOf, st.clusterOf)
 	return r, nil
 }
 
-// oldJoinAt returns the prior run's joiners of a phase, ascending.
-func (r *repairer) oldJoinAt(phase int) []int32 {
-	if phase < len(r.oldJoin) {
-		return r.oldJoin[phase]
-	}
-	return nil
+// aliveAt reports whether a vertex with the given join phase (−1: never
+// clustered) is alive at phase p.
+func aliveAt(join int32, p int) bool { return join < 0 || int(join) >= p }
+
+// aliveNew reports whether v is alive at the current phase in the new run,
+// whose join phases are patched up to that phase; unionAlive whether v is
+// alive at phase p in either run.
+func (r *repairer) aliveNew(v int32) bool { return aliveAt(r.next.joinPhase[v], r.phase) }
+func (r *repairer) unionAlive(v int32, p int) bool {
+	return aliveAt(r.prior.joinPhase[v], p) || aliveAt(r.next.joinPhase[v], p)
 }
 
-// unionAlive reports whether v is alive in either run.
-func (r *repairer) unionAlive(v int32) bool { return r.aliveOld[v] || r.aliveNew[v] }
+// aliveList lists the new run's alive set, ascending, by scanning every
+// vertex: only steps that cost O(n) anyway — a radius rescan, a phase
+// re-simulated whole — call it.
+func (r *repairer) aliveList() []int32 {
+	r.aliveBuf = r.aliveBuf[:0]
+	for v := range int32(r.n) {
+		if r.aliveNew(v) {
+			r.aliveBuf = append(r.aliveBuf, v)
+		}
+	}
+	return r.aliveBuf
+}
 
 // truncated reports whether a phase whose largest floored radius over
 // either run's alive set is unionMax has a draw the round budget cuts
@@ -452,14 +496,15 @@ func (r *repairer) truncated(unionMax int) bool {
 	return r.o.RadiusMode != RadiusExact && unionMax > r.sched.k
 }
 
-// startPhase sets the phase's exponential rate and records the vertices
-// entering it.
+// startPhase sets the phase and its exponential rate, and records the
+// vertices entering it.
 func (r *repairer) startPhase(phase int) {
+	r.phase = phase
 	r.beta = r.sched.betas[len(r.sched.betas)-1]
 	if phase < len(r.sched.betas) {
 		r.beta = r.sched.betas[phase]
 	}
-	r.dec.AlivePerPhase = append(r.dec.AlivePerPhase, len(r.aliveNewList))
+	r.dec.AlivePerPhase = append(r.dec.AlivePerPhase, r.alive)
 }
 
 // sources collects the phase's divergence sources: every vertex whose
@@ -490,20 +535,20 @@ func (r *repairer) sources() {
 // the alive-set diff; only when every prior achiever of the maximum died
 // is the new alive set drawn again. Past the prior run's last phase the
 // prior alive set is empty and the new one is drawn whole.
-func (r *repairer) radiusStats(phase int) (radiusStats, int) {
-	if phase >= len(r.tables) {
-		rs := r.rescan(phase)
+func (r *repairer) radiusStats() (radiusStats, int) {
+	if r.phase >= len(r.tables) {
+		rs := r.rescan()
 		return rs, rs.maxFl
 	}
-	pf := r.tables[phase]
+	pf := r.tables[r.phase]
 	rs := pf.radiusStats
 	k := float64(r.sched.k)
 	deadMax, deadFl := 0, 0
 	addedFl, addedCnt := -1, 0
 	for _, v := range r.diffList {
-		rad := phaseRadius(r.o.Seed, phase, v, r.beta)
+		rad := phaseRadius(r.o.Seed, r.phase, v, r.beta)
 		fl := int(math.Floor(rad))
-		if r.aliveNew[v] {
+		if r.aliveNew(v) {
 			if rad >= k+1 {
 				rs.trunc++
 			}
@@ -525,7 +570,7 @@ func (r *repairer) radiusStats(phase int) (radiusStats, int) {
 	if deadMax >= pf.maxCnt {
 		// Every prior achiever of the max died. Rare, since the diff is
 		// tiny relative to the alive set.
-		rs = r.rescan(phase)
+		rs = r.rescan()
 	} else {
 		rs.maxCnt -= deadMax
 		if addedFl > rs.maxFl {
@@ -539,9 +584,10 @@ func (r *repairer) radiusStats(phase int) (radiusStats, int) {
 
 // rescan draws the phase's radii for the whole new alive set and returns
 // their statistics.
-func (r *repairer) rescan(phase int) radiusStats {
-	drawRadiiSparse(r.o.Seed, phase, r.aliveNewList, r.beta, r.runner.radius)
-	return scanRadii(r.aliveNewList, r.runner.radius, r.sched.k)
+func (r *repairer) rescan() radiusStats {
+	alive := r.aliveList()
+	drawRadiiSparse(r.o.Seed, r.phase, alive, r.beta, r.runner.radius)
+	return scanRadii(alive, r.runner.radius, r.sched.k)
 }
 
 // certify settles a tabled, untruncated phase by delta simulation. The
@@ -550,11 +596,12 @@ func (r *repairer) rescan(phase int) radiusStats {
 // boundary matched once keeps its simulated states untouched in
 // runner.state and is only revisited when growth connects new vertices to
 // it, so converged damage sites stop costing anything while stragglers
-// keep growing. It leaves R in rList and rMask and the certified states in
-// runner.state, and returns "" — or, past the region cap or when growth
-// does not converge, the reason to fall back.
-func (r *repairer) certify(phase, unionMax int) string {
-	pf := r.tables[phase]
+// keep growing. It leaves R in rList and rMask, R's new-alive part in
+// trusted and the certified states in runner.state, and returns "" — or,
+// past the region cap or when growth does not converge, the cause and
+// reason to fall back.
+func (r *repairer) certify(unionMax int) (FallbackCause, string) {
+	pf := r.tables[r.phase]
 	r.rList, r.dirtySeeds = r.rList[:0], r.dirtySeeds[:0]
 	// R starts at the sources alone: for most damage sites the changed
 	// edge does not alter any converged state (gnp-style graphs deliver
@@ -566,24 +613,24 @@ func (r *repairer) certify(phase, unionMax int) string {
 	// vacuously while its neighbors wrongly reuse old outcomes.
 	for _, s := range r.srcList {
 		r.addR(s)
-		if !r.aliveNew[s] {
+		if !r.aliveNew(s) {
 			r.growFrom(s)
 		}
 	}
 	maxIter := max(64, 2*unionMax+16)
 	for iter := 0; ; iter++ {
 		if len(r.rList) > r.regionCap {
-			return fmt.Sprintf("phase %d region %d exceeds cap %d", phase, len(r.rList), r.regionCap)
+			return CauseRegionCap, fmt.Sprintf("phase %d region %d exceeds cap %d", r.phase, len(r.rList), r.regionCap)
 		}
 		if iter >= maxIter {
 			// Growth is not converging; the damage is effectively global
 			// this phase.
-			return fmt.Sprintf("phase %d delta certificate never converged", phase)
+			return CauseNoConvergence, fmt.Sprintf("phase %d delta certificate never converged", r.phase)
 		}
 		r.seedsBuf, r.dirtySeeds = r.dirtySeeds, r.seedsBuf[:0]
-		r.simulate(pf, phase, r.seedsBuf, unionMax)
+		r.simulate(pf, r.seedsBuf, unionMax)
 		if len(r.failList) == 0 {
-			return ""
+			break
 		}
 		// Grow around exactly the failing vertices. A failing vertex itself
 		// re-seeds its component (growth may merge it with a neighboring,
@@ -595,11 +642,18 @@ func (r *repairer) certify(phase, unionMax int) string {
 			r.growFrom(f)
 		}
 	}
+	r.trusted = r.trusted[:0]
+	for _, v := range r.rList {
+		if r.aliveNew(v) {
+			r.trusted = append(r.trusted, v)
+		}
+	}
+	return "", ""
 }
 
 // addR adds v to R if it is alive in either run, marking it a seed.
 func (r *repairer) addR(v int32) {
-	if r.unionAlive(v) && !r.rMask[v] {
+	if r.unionAlive(v, r.phase) && !r.rMask[v] {
 		r.rMask[v] = true
 		r.rList = append(r.rList, v)
 		r.dirtySeeds = append(r.dirtySeeds, v)
@@ -622,7 +676,7 @@ func (r *repairer) growFrom(v int32) {
 // boundary vertices — the shell and the component vertices next to it —
 // whose simulated final differs from pf's: a mismatch means influence
 // crossed the boundary there.
-func (r *repairer) simulate(pf *phaseFinals, phase int, seeds []int32, rounds int) {
+func (r *repairer) simulate(pf *phaseFinals, seeds []int32, rounds int) {
 	preset := func(v int32) (topTwo, bool) {
 		if !r.shellMask[v] {
 			return topTwo{}, false
@@ -639,18 +693,18 @@ func (r *repairer) simulate(pf *phaseFinals, phase int, seeds []int32, rounds in
 		// re-draw after growth is idempotent — the draw is pure).
 		r.simList, r.shellList = r.simList[:0], r.shellList[:0]
 		for _, v := range r.compList {
-			if r.aliveNew[v] {
-				r.runner.radius[v] = phaseRadius(r.o.Seed, phase, v, r.beta)
+			if r.aliveNew(v) {
+				r.runner.radius[v] = phaseRadius(r.o.Seed, r.phase, v, r.beta)
 				r.simMask[v] = true
 				r.simList = append(r.simList, v)
 			}
 		}
 		for _, v := range r.compList {
-			if !r.aliveNew[v] {
+			if !r.aliveNew(v) {
 				continue
 			}
 			for _, w := range r.g.Neighbors(int(v)) {
-				if r.aliveNew[w] && !r.rMask[w] && !r.shellMask[w] {
+				if r.aliveNew(w) && !r.rMask[w] && !r.shellMask[w] {
 					r.shellMask[w] = true
 					r.shellList = append(r.shellList, w)
 					r.simMask[w] = true
@@ -714,57 +768,18 @@ func (r *repairer) onBoundary(v int32) bool {
 	return false
 }
 
-// compose returns a certified phase's join set, ascending — the order
-// buildClusters (and the from-scratch run) sees — and records each
-// joiner's center. R's new-alive vertices, collected into trusted, take
-// their certified outcome; everyone else repeats the prior run. R's
-// old-only vertices (diverged deaths) repeat nothing: the new run settled
-// them in an earlier phase. compose clears R.
-func (r *repairer) compose(phase int) []int {
-	r.trusted = r.trusted[:0]
-	for _, v := range r.rList {
-		if r.aliveNew[v] {
-			r.trusted = append(r.trusted, v)
-			r.regionEver[v] = true
-		}
-	}
-	slices.Sort(r.trusted)
-	old := r.oldJoinAt(phase)
-	joined := make([]int, 0, len(old))
-	oi := 0
-	repeatOld := func(bound int32) {
-		for ; oi < len(old) && old[oi] < bound; oi++ {
-			if v := old[oi]; !r.rMask[v] {
-				joined = append(joined, int(v))
-				r.centers[v] = int(r.prior.center[v])
-			}
-		}
-	}
-	for _, v := range r.trusted {
-		if s := &r.runner.state[v]; s.joins() {
-			repeatOld(v)
-			joined = append(joined, int(v))
-			r.centers[v] = s.c1
-		}
-	}
-	repeatOld(int32(r.n))
-	clearMask(r.rMask, r.rList)
-	r.rList = r.rList[:0]
-	return joined
-}
-
 // patchTable brings a certified phase's table to the new run: trusted
 // vertices take their certified finals (a newly alive one gains a row),
 // diverged deaths leave, and the radius statistics become rs. Every other
 // row already holds its final: a vertex alive in both runs outside R saw
 // no divergence this phase.
-func (r *repairer) patchTable(phase int, rs radiusStats) {
-	pf := r.tables[phase]
+func (r *repairer) patchTable(rs radiusStats) {
+	pf := r.tables[r.phase]
 	for _, v := range r.trusted {
 		pf.set(v, r.runner.state[v])
 	}
 	for _, v := range r.diffList {
-		if !r.aliveNew[v] {
+		if !r.aliveNew(v) {
 			pf.drop(v)
 		}
 	}
@@ -773,121 +788,162 @@ func (r *repairer) patchTable(phase int, rs radiusStats) {
 
 // resimulate settles a phase the prior run cannot certify — truncated
 // under RadiusCap, or past the prior run's last phase — by simulating the
-// whole new alive set exactly as RunWith does. That simulation's joins are
-// the phase's joins, and its final states the phase's fresh table.
-func (r *repairer) resimulate(phase int, rs radiusStats) []int {
-	drawRadiiSparse(r.o.Seed, phase, r.aliveNewList, r.beta, r.runner.radius)
+// whole new alive set exactly as RunWith does. That simulation decides
+// every alive vertex, so all of them are trusted, and R adds the diverged
+// deaths; its final states are the phase's fresh table.
+func (r *repairer) resimulate(rs radiusStats) {
+	alive := r.aliveList()
+	drawRadiiSparse(r.o.Seed, r.phase, alive, r.beta, r.runner.radius)
 	rounds := r.sched.k
 	if r.o.RadiusMode == RadiusExact {
 		rounds = rs.maxFl
 	}
-	res := r.runner.runSparse(r.aliveNew, r.aliveNewList, rounds, nil)
-	r.dec.account(res)
-	r.stats.RegionVertices += len(r.aliveNewList)
-	for _, v := range r.aliveNewList {
-		r.regionEver[v] = true
+	for _, v := range alive {
+		r.simMask[v] = true
 	}
-	for _, v := range res.joined {
-		r.centers[v] = res.centers[v]
-	}
-	pf := newPhaseFinals(r.n, r.aliveNewList, r.runner.state)
+	r.dec.account(r.runner.runSparse(r.simMask, alive, rounds, nil))
+	clearMask(r.simMask, alive)
+	r.stats.RegionVertices += len(alive)
+	pf := newPhaseFinals(r.n, alive, r.runner.state)
 	pf.radiusStats = rs
-	if phase < len(r.tables) {
-		r.tables[phase] = pf
+	if r.phase < len(r.tables) {
+		r.tables[r.phase] = pf
 	} else {
 		r.tables = append(r.tables, pf)
 	}
-	return res.joined
+	r.trusted = append(r.trusted[:0], alive...)
+	r.rList = append(r.rList[:0], alive...)
+	for _, v := range r.diffList {
+		if !r.aliveNew(v) {
+			r.rList = append(r.rList, v)
+		}
+	}
 }
 
-// patchClusters appends a phase's clusters, colored with the next color,
-// by adopting every prior cluster whose component provably did not change
-// and rebuilding the rest with local searches over the join set. A prior
-// cluster is adoptable unless marked dirty: it lost a member, a changed
-// edge touches two of this phase's joined vertices in it, or a vertex that
-// newly joined this phase is adjacent to it — any edge between an
-// adoptable cluster and the rest of the join set would imply one of those
-// marks, so adoptable clusters are exactly the unchanged maximal
-// components. Clusters are emitted in ascending order of their smallest
-// member, the same order buildClusters derives from the ascending join
-// list, so the cluster list stays bit-identical to a scratch run's.
-func (r *repairer) patchClusters(joined []int, phase int) {
-	if len(joined) == 0 {
-		return
-	}
-	for _, v := range joined {
-		r.joinedMask[v] = true
-	}
-	for _, v := range r.oldJoinAt(phase) {
-		if !r.joinedMask[v] {
-			r.markDirty(v, phase)
+// compose records the phase's outcome for the trusted vertices from their
+// simulated finals: a joiner takes the phase and its center, and a
+// non-joiner whose entry names this phase (the prior run's join) becomes
+// −1. A trusted vertex is alive, so any other entry it has is −1 or a
+// later phase already; every other vertex repeats the prior run, whose
+// join phase and center next already holds.
+func (r *repairer) compose() {
+	p := int32(r.phase)
+	for _, v := range r.trusted {
+		if !r.regionEver[v] {
+			r.regionEver[v] = true
+			r.everList = append(r.everList, v)
+		}
+		if s := &r.runner.state[v]; s.joins() {
+			r.next.joinPhase[v], r.next.center[v] = p, int32(s.c1)
+		} else if r.next.joinPhase[v] == p {
+			r.next.joinPhase[v], r.next.center[v] = -1, none
 		}
 	}
-	for _, v := range joined {
-		if r.prior.joinPhase[v] != int32(phase) {
-			// Newly joined here: whatever it attaches to must merge.
-			for _, w := range r.g.Neighbors(v) {
-				if r.joinedMask[w] {
-					r.markDirty(w, phase)
-				}
+}
+
+// patchClusters appends the phase's clusters, colored with the next color,
+// and takes their members off the alive count. The new join set J is
+// {v : next.joinPhase[v] = phase}. The prior run's clusters of the phase
+// are copied unless dirty (markClusters); the dirty ones and the trusted
+// joiners outside clean clusters seed local searches over J that rebuild
+// the rest. Clusters are emitted in ascending order of their smallest
+// member, the order buildClusters derives from the ascending join set,
+// so the cluster list stays bit-identical to a scratch run's. The phase's
+// center violations are the prior run's, less the dirty clusters', plus
+// the rebuilt ones'.
+func (r *repairer) patchClusters() {
+	p := int32(r.phase)
+	r.markClusters()
+	for _, v := range r.trusted {
+		// A trusted joiner outside a clean prior cluster of this phase.
+		if r.next.joinPhase[v] == p && (r.prior.joinPhase[v] != p || r.dirtyMask[r.prior.clusterOf[v]]) {
+			r.rebuild(v)
+		}
+	}
+	violations := 0
+	if r.phase < len(r.prior.violations) {
+		violations = r.prior.violations[r.phase]
+	}
+	for _, pc := range r.dirtyList {
+		members := r.prior.clusters[pc].Members
+		if mixedCenters(members, r.prior.center) {
+			violations--
+		}
+		for _, u := range members {
+			if r.next.joinPhase[u] == p {
+				r.rebuild(int32(u))
 			}
 		}
 	}
-	for _, c := range r.chg {
-		if r.joinedMask[c.U] && r.joinedMask[c.V] {
-			r.markDirty(c.U, phase)
-			r.markDirty(c.V, phase)
+	for _, c := range r.rebuilt {
+		if mixedCenters(c.Members, r.next.center) {
+			violations++
+		}
+		for _, u := range c.Members {
+			r.assignedMask[u] = false
 		}
 	}
-	for _, v := range joined {
-		if r.assignedMask[v] {
-			continue
-		}
-		pc := -1
-		if r.prior.joinPhase[v] == int32(phase) {
-			pc = r.prior.clusterOf[v]
-		}
-		if pc >= 0 && !r.dirtyMask[pc] {
-			members := r.prior.clusters[pc].Members
-			for _, u := range members {
-				r.assignedMask[u] = true
-			}
-			r.emitCluster(members, phase, pc)
-			continue
-		}
-		// Rebuild v's component over the join set. The search cannot
-		// reach an adoptable cluster: a connecting edge would have marked
-		// it dirty.
-		r.queue = append(r.queue[:0], int32(v))
-		r.assignedMask[v] = true
-		members := []int{v}
-		for head := 0; head < len(r.queue); head++ {
-			for _, w := range r.g.Neighbors(int(r.queue[head])) {
-				if r.joinedMask[w] && !r.assignedMask[w] {
-					r.assignedMask[w] = true
-					r.queue = append(r.queue, w)
-					members = append(members, int(w))
-				}
-			}
-		}
-		slices.Sort(members)
-		r.emitCluster(members, phase, -1)
+	dec := r.dec
+	start := len(dec.Clusters)
+	r.emit()
+	for i := start; i < len(dec.Clusters); i++ {
+		dec.Clusters[i].Color = dec.Colors
+		r.alive -= len(dec.Clusters[i].Members)
 	}
-	for _, v := range joined {
-		r.joinedMask[v] = false
-		r.assignedMask[v] = false
+	if len(dec.Clusters) > start {
+		dec.Colors++
 	}
+	dec.CenterViolations += violations
+	r.next.offsets = append(r.next.offsets, start)
+	r.next.violations = append(r.next.violations, violations)
 	for _, pc := range r.dirtyList {
 		r.dirtyMask[pc] = false
 	}
-	r.dirtyList = r.dirtyList[:0]
-	r.dec.Colors++
+	r.dirtyList, r.rebuilt = r.dirtyList[:0], r.rebuilt[:0]
 }
 
-// markDirty bars v's prior cluster from adoption, if v joined it in this
-// phase of the prior run.
-func (r *repairer) markDirty(v int32, phase int) {
-	if r.prior.joinPhase[v] != int32(phase) {
+// markClusters marks dirty every prior cluster of the phase that cannot be
+// copied: it lost a member, a vertex newly in J is adjacent to it, a
+// changed edge touches two of J's vertices in it, or a member chose a new
+// center (Claim 3 keeps a cluster's centers uniform, not unchanged). Only
+// R's vertices can lose or gain membership or change center — everyone
+// else repeats the prior run — and any edge between a clean cluster and
+// the rest of J would imply one of those marks, so clean clusters are
+// exactly J's unchanged components, centers included.
+func (r *repairer) markClusters() {
+	p := int32(r.phase)
+	pj, nj := r.prior.joinPhase, r.next.joinPhase
+	for _, v := range r.rList {
+		if pj[v] == p && nj[v] != p {
+			r.markDirty(v)
+		}
+	}
+	for _, v := range r.trusted {
+		switch {
+		case nj[v] != p:
+		case pj[v] != p:
+			// Newly joined here: whatever it attaches to must merge.
+			for _, w := range r.g.Neighbors(int(v)) {
+				if nj[w] == p {
+					r.markDirty(w)
+				}
+			}
+		case r.next.center[v] != r.prior.center[v]:
+			r.markDirty(v)
+		}
+	}
+	for _, c := range r.chg {
+		if nj[c.U] == p && nj[c.V] == p {
+			r.markDirty(c.U)
+			r.markDirty(c.V)
+		}
+	}
+}
+
+// markDirty bars v's prior cluster from being copied, if v joined it in
+// this phase of the prior run.
+func (r *repairer) markDirty(v int32) {
+	if r.prior.joinPhase[v] != int32(r.phase) {
 		return
 	}
 	if pc := r.prior.clusterOf[v]; pc >= 0 && !r.dirtyMask[pc] {
@@ -896,80 +952,85 @@ func (r *repairer) markDirty(v int32, phase int) {
 	}
 }
 
-// emitCluster appends one cluster with the current color. pc is the prior
-// index of an adopted cluster (-1 for rebuilt ones); when it equals the new
-// index, ClusterOf already carries the right value from the prior
-// assignment newRepairer copied.
-func (r *repairer) emitCluster(members []int, phase, pc int) {
-	dec := r.dec
-	center := r.centers[members[0]]
-	for _, u := range members[1:] {
-		if r.centers[u] != center {
-			dec.CenterViolations++
-			break
-		}
+// rebuild adds to rebuilt the component of J holding v, unless a rebuilt
+// cluster already holds it. The search cannot reach a clean cluster: a
+// connecting edge would have marked it dirty.
+func (r *repairer) rebuild(v int32) {
+	if r.assignedMask[v] {
+		return
 	}
-	ci := len(dec.Clusters)
-	dec.Clusters = append(dec.Clusters, partition.Cluster{
-		Members: members,
-		Center:  center,
-		Phase:   phase,
-		Color:   dec.Colors,
-	})
-	if pc != ci {
-		for _, u := range members {
-			dec.ClusterOf[u] = ci
-		}
-	}
-}
-
-// advance moves both runs past the phase: the new run's joiners record
-// their phase and center and leave its alive set, the prior run's leave
-// its own. Only a vertex that just joined in either run, or was already
-// diverged, can be diverged now, so the divergence list is rebuilt from
-// those alone. A changed edge stays relevant only while both endpoints
-// survive in at least one run; death is permanent, so pruning is too.
-func (r *repairer) advance(joined []int, phase int) {
-	for _, v := range joined {
-		r.next.joinPhase[v] = int32(phase)
-		r.next.center[v] = int32(r.centers[v])
-		r.aliveNew[v] = false
-	}
-	if len(joined) > 0 {
-		k := 0
-		for _, v := range r.aliveNewList {
-			if r.aliveNew[v] {
-				r.aliveNewList[k] = v
-				k++
+	p := int32(r.phase)
+	r.assignedMask[v] = true
+	r.queue = append(r.queue[:0], v)
+	members := []int{int(v)}
+	for head := 0; head < len(r.queue); head++ {
+		for _, w := range r.g.Neighbors(int(r.queue[head])) {
+			if r.next.joinPhase[w] == p && !r.assignedMask[w] {
+				r.assignedMask[w] = true
+				r.queue = append(r.queue, w)
+				members = append(members, int(w))
 			}
 		}
-		r.aliveNewList = r.aliveNewList[:k]
 	}
-	old := r.oldJoinAt(phase)
-	for _, v := range old {
-		r.aliveOld[v] = false
-	}
+	slices.Sort(members)
+	r.rebuilt = append(r.rebuilt, partition.Cluster{
+		Members: members,
+		Center:  int(r.next.center[members[0]]),
+		Phase:   r.phase,
+	})
+}
 
-	k := 0
-	for _, v := range r.diffList {
-		if r.aliveOld[v] != r.aliveNew[v] {
-			r.diffList[k] = v
-			k++
-		} else {
-			r.diffMask[v] = false
+// emit appends the phase's clusters: the prior range's clean clusters,
+// copied in runs, merged by smallest member with the rebuilt ones.
+func (r *repairer) emit() {
+	lo, hi := 0, 0
+	if r.phase+1 < len(r.prior.offsets) {
+		lo, hi = r.prior.offsets[r.phase], r.prior.offsets[r.phase+1]
+	}
+	slices.Sort(r.dirtyList)
+	slices.SortFunc(r.rebuilt, func(a, b partition.Cluster) int { return cmp.Compare(a.Members[0], b.Members[0]) })
+	byFirst := func(c partition.Cluster, m int) int { return cmp.Compare(c.Members[0], m) }
+	from := lo
+	for _, c := range r.rebuilt {
+		at, _ := slices.BinarySearchFunc(r.prior.clusters[from:hi], c.Members[0], byFirst)
+		from = r.adopt(from, from+at)
+		r.dec.Clusters = append(r.dec.Clusters, c)
+	}
+	r.adopt(from, hi)
+}
+
+// adopt appends the clean prior clusters in [from, to), one append per run
+// between the dirty ones, and returns to.
+func (r *repairer) adopt(from, to int) int {
+	for from < to {
+		end := to
+		if i, _ := slices.BinarySearch(r.dirtyList, from); i < len(r.dirtyList) && r.dirtyList[i] < to {
+			end = r.dirtyList[i]
+		}
+		r.dec.Clusters = append(r.dec.Clusters, r.prior.clusters[from:end]...)
+		from = end + 1
+	}
+	return to
+}
+
+// advance moves both runs past the phase. Only R's vertices can be
+// diverged at the next phase — everyone else repeated the prior run — so
+// the divergence list is rebuilt from R alone, and R is cleared. A changed
+// edge stays relevant only while both endpoints survive in at least one
+// run; death is permanent, so pruning is too.
+func (r *repairer) advance() {
+	next := r.phase + 1
+	r.diffList = r.diffList[:0]
+	for _, v := range r.rList {
+		if aliveAt(r.prior.joinPhase[v], next) != aliveAt(r.next.joinPhase[v], next) {
+			r.diffList = append(r.diffList, v)
 		}
 	}
-	r.diffList = r.diffList[:k]
-	for _, v := range old {
-		r.diverge(v)
-	}
-	for _, v := range joined {
-		r.diverge(int32(v))
-	}
-
-	k = 0
+	clearMask(r.rMask, r.rList)
+	r.rList = r.rList[:0]
+	k := 0
 	for _, c := range r.chg {
-		if r.unionAlive(c.U) && r.unionAlive(c.V) {
+		if r.unionAlive(c.U, next) && r.unionAlive(c.V, next) {
 			r.chg[k] = c
 			k++
 		}
@@ -978,36 +1039,31 @@ func (r *repairer) advance(joined []int, phase int) {
 	r.dec.PhasesUsed++
 }
 
-// diverge adds v to the divergence list if the runs disagree on it.
-func (r *repairer) diverge(v int32) {
-	if r.aliveOld[v] != r.aliveNew[v] && !r.diffMask[v] {
-		r.diffMask[v] = true
-		r.diffList = append(r.diffList, v)
-	}
-}
-
-// finish closes the new run and hands on its state: the tables are cut to
-// the phases it ran, and nothing in the state points into the repairer's
-// scratch.
+// finish closes the new run and hands on its state: ClusterOf is written
+// in one pass over the clusters, the tables are cut to the phases it ran,
+// and nothing in the state points into the repairer's scratch. A result
+// cluster counts as repaired when it holds a vertex some phase trusted.
 func (r *repairer) finish() (*Decomposition, *RepairState, RepairStats, error) {
 	dec := r.dec
-	dec.AlivePerPhase = append(dec.AlivePerPhase, len(r.aliveNewList))
-	dec.Complete = len(r.aliveNewList) == 0
-	for _, v := range r.aliveNewList {
-		dec.ClusterOf[v] = -1
+	dec.AlivePerPhase = append(dec.AlivePerPhase, r.alive)
+	dec.Complete = r.alive == 0
+	for ci, c := range dec.Clusters {
+		for _, v := range c.Members {
+			dec.ClusterOf[v] = ci
+		}
 	}
 	// Tables past the new run's last phase describe phases it never ran.
 	clear(r.tables[dec.PhasesUsed:])
 	r.next.phases = r.tables[:dec.PhasesUsed]
+	r.next.offsets = append(r.next.offsets, len(dec.Clusters))
 	r.next.clusters, r.next.clusterOf = dec.Clusters, dec.ClusterOf
 
 	r.stats.TotalClusters = len(dec.Clusters)
-	for i := range dec.Clusters {
-		for _, v := range dec.Clusters[i].Members {
-			if r.regionEver[v] {
-				r.stats.RepairedClusters++
-				break
-			}
+	repaired := make([]bool, len(dec.Clusters))
+	for _, v := range r.everList {
+		if ci := dec.ClusterOf[v]; ci >= 0 && !repaired[ci] {
+			repaired[ci] = true
+			r.stats.RepairedClusters++
 		}
 	}
 	return dec, r.next, r.stats, nil
@@ -1021,9 +1077,10 @@ func phaseRadius(seed uint64, phase int, v int32, beta float64) float64 {
 }
 
 // repairFallback abandons incrementality: full recompute with state
-// capture, surfaced with the triggering reason in the stats.
-func repairFallback(g graph.Interface, o Options, stats RepairStats, reason string) (*Decomposition, *RepairState, RepairStats, error) {
+// capture, surfaced with the triggering cause and reason in the stats.
+func repairFallback(g graph.Interface, o Options, stats RepairStats, cause FallbackCause, reason string) (*Decomposition, *RepairState, RepairStats, error) {
 	stats.FellBack = true
+	stats.FallbackCause = cause
 	stats.FallbackReason = reason
 	dec, st, err := RunRepairable(g, o)
 	if err != nil {

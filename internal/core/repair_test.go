@@ -188,13 +188,17 @@ func TestRepairStateChaining(t *testing.T) {
 }
 
 // requireSameState checks that a state handed on by Repair holds exactly a
-// fresh bootstrap's joins, centers and per-phase tables (rows, finals and
-// radius statistics), and that every table's rows index consistently. It
-// returns the number of tables compared.
+// fresh bootstrap's joins, centers, per-phase cluster ranges and violation
+// counts, and per-phase tables (rows, finals and radius statistics), and
+// that every table's rows index consistently. It returns the number of
+// tables compared.
 func requireSameState(t *testing.T, got, want *RepairState, msg string) int {
 	t.Helper()
 	if !slices.Equal(got.joinPhase, want.joinPhase) || !slices.Equal(got.center, want.center) {
 		t.Fatalf("%s: joins or centers differ from a fresh bootstrap's", msg)
+	}
+	if !slices.Equal(got.offsets, want.offsets) || !slices.Equal(got.violations, want.violations) {
+		t.Fatalf("%s: cluster offsets %v and violations %v, fresh bootstrap %v and %v", msg, got.offsets, got.violations, want.offsets, want.violations)
 	}
 	if len(got.phases) != len(want.phases) {
 		t.Fatalf("%s: %d tables, fresh bootstrap has %d", msg, len(got.phases), len(want.phases))
@@ -258,6 +262,90 @@ func TestRepairHandsOnFreshTables(t *testing.T) {
 		}
 	}
 	t.Logf("compared %d tables; %d of %d repairs fell back", tables, fellBack, 2*12*len(repairOpts))
+}
+
+// balancedChanges draws size effective mutations against g: half deletions
+// of present edges, half insertions of absent ones.
+func balancedChanges(rng *randx.SplitMix64, g *graph.Graph, size int) []EdgeChange {
+	seen := map[[2]int32]bool{}
+	changes := make([]EdgeChange, 0, size)
+	for len(changes) < size {
+		u := int32(rng.Intn(g.N()))
+		var v int32
+		insert := len(changes) >= size/2
+		if insert {
+			v = int32(rng.Intn(g.N()))
+			if u == v || slices.Contains(g.Neighbors(int(u)), v) {
+				continue
+			}
+		} else {
+			row := g.Neighbors(int(u))
+			v = row[rng.Intn(len(row))]
+		}
+		k := [2]int32{min(u, v), max(u, v)}
+		if !seen[k] {
+			seen[k] = true
+			changes = append(changes, EdgeChange{U: u, V: v, Insert: insert})
+		}
+	}
+	return changes
+}
+
+// TestRepairTorusRuns chains repairs on a 64×64 torus, where most of a
+// phase's clusters are clean and sit in long runs between dirty ones:
+// balanced batches of 0.1% and 1% of the edges, and one of 10% that trips
+// the region cap. Every result equals Run and every handed-on state a
+// fresh bootstrap's, and the repairs both copy clusters to a new index and
+// rebuild others.
+func TestRepairTorusRuns(t *testing.T) {
+	g := gen.Torus(64, 64)
+	o := Options{Seed: 11, ForceComplete: true}
+	rng := randx.New(0x7025)
+	_, st, err := RunRepairable(g, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := graph.EdgeCount(g)
+	shifted, rebuilt := 0, 0
+	for i, size := range []int{m / 1000, m / 100, m / 1000, m / 1000, m / 100, m / 10, m / 1000, m / 100} {
+		changes := balancedChanges(rng, g, size)
+		g2 := applyChanges(g, changes)
+		prior := map[*int]int{}
+		for ci, c := range st.clusters {
+			prior[&c.Members[0]] = ci
+		}
+		got, st2, stats, err := Repair(g2, o, st, changes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("update %d: %d changes, damaged %d, region %d, fell back %v (%s)", i, size, stats.DamagedVertices, stats.RegionVertices, stats.FellBack, stats.FallbackReason)
+		if capped := size == m/10; stats.FellBack != capped || capped && stats.FallbackCause != CauseRegionCap {
+			t.Fatalf("update %d of %d changes: fell back %v (%q)", i, size, stats.FellBack, stats.FallbackCause)
+		}
+		want, err := Run(g2, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRepairEquivalent(t, got, want, fmt.Sprintf("update %d", i))
+		_, fresh, err := RunRepairable(g2, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameState(t, st2, fresh, fmt.Sprintf("update %d", i))
+		for ci, c := range got.Clusters {
+			switch pi, ok := prior[&c.Members[0]]; {
+			case !ok:
+				rebuilt++
+			case pi != ci:
+				shifted++
+			}
+		}
+		g, st = g2, st2
+	}
+	t.Logf("%d clusters copied to a new index, %d rebuilt", shifted, rebuilt)
+	if shifted == 0 || rebuilt == 0 {
+		t.Fatalf("%d clusters copied to a new index and %d rebuilt; want some of each", shifted, rebuilt)
+	}
 }
 
 // TestRepairConsumesState: Repair moves the tables out of the state it is

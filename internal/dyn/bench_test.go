@@ -11,7 +11,7 @@ package dyn
 // ~6, so any batch's influence ball spans the whole graph and repair
 // degrades to recompute — that regime is covered by the 5% row falling
 // back.) CI gates both 0.1% rows and checks the live ratio between them
-// stays at least 3x; the 1% and 5% rows are informational and document
+// stays at least 5.5x; the 1% and 5% rows are informational and document
 // the crossover. At the end, BenchmarkOverlayCompact and
 // BenchmarkOverlayMaterialize compact one 0.1% overlay both ways; a
 // manifest check keeps the splice at least 4x faster than the rebuild.

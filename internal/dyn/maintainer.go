@@ -70,6 +70,7 @@ type Maintainer struct {
 	cRepairs   *obs.Counter
 	cFallbacks *obs.Counter
 	cRecomps   *obs.Counter
+	cAbandon   map[core.FallbackCause]*obs.Counter
 }
 
 // NewMaintainer runs the initial decomposition of pl on g and returns the
@@ -89,6 +90,10 @@ func NewMaintainer(ctx context.Context, pl *decomp.Plan, g graph.Interface, cfg 
 		cRepairs:   rec.Counter("dyn.repair.repairs"),
 		cFallbacks: rec.Counter("dyn.repair.fallbacks"),
 		cRecomps:   rec.Counter("dyn.repair.recomputes"),
+		cAbandon:   map[core.FallbackCause]*obs.Counter{},
+	}
+	for _, c := range core.FallbackCauses {
+		m.cAbandon[c] = rec.Counter("dyn.repair.abandon." + string(c))
 	}
 	m.opts, m.repairable = pl.CoreOptions()
 	if err := m.bootstrap(ctx, g); err != nil {
@@ -180,6 +185,7 @@ func (m *Maintainer) Update(ctx context.Context, g graph.Interface, effective []
 	m.hTotal.Observe(int64(rep.TotalClusters))
 	if stats.FellBack {
 		m.cFallbacks.Inc()
+		m.cAbandon[stats.FallbackCause].Inc()
 		m.cRecomps.Inc()
 		m.hRecompNs.Observe(rep.Duration.Nanoseconds())
 	} else {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"netdecomp/internal/core"
 	"netdecomp/internal/decomp"
 	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
@@ -161,7 +162,8 @@ func TestMaintainerEmptyBatch(t *testing.T) {
 // TestMaintainerFallback drives repair past its region cap — a batch whose
 // distinct endpoints exceed a quarter of the vertices seeds a larger region
 // at phase 0 — and checks the fallback still produces the from-scratch
-// answer and leaves state the next small update repairs from.
+// answer, is counted under its cause, and leaves state the next small
+// update repairs from.
 func TestMaintainerFallback(t *testing.T) {
 	const n = 80
 	ctx := context.Background()
@@ -171,7 +173,8 @@ func TestMaintainerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := Wrap(gen.GnpConnected(rng, n, 0.08))
-	m, err := NewMaintainer(ctx, pl, o, Config{})
+	rec := obs.New(obs.NewRegistry(), nil)
+	m, err := NewMaintainer(ctx, pl, o, Config{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +196,15 @@ func TestMaintainerFallback(t *testing.T) {
 	}
 	if !rep.FellBack || !strings.Contains(rep.Reason, "exceeds cap") {
 		t.Fatalf("expected the region-cap fallback with %d damaged endpoints on %d vertices, got %+v", len(endpoints), n, rep)
+	}
+	for _, c := range core.FallbackCauses {
+		want := int64(0)
+		if c == core.CauseRegionCap {
+			want = 1
+		}
+		if got := rec.Counter("dyn.repair.abandon." + string(c)).Value(); got != want {
+			t.Fatalf("dyn.repair.abandon.%s = %d, want %d", c, got, want)
+		}
 	}
 	want, err := pl.Run(ctx, next)
 	if err != nil {

@@ -5,7 +5,8 @@ package harness
 // sizes (mean lambda per batch), cluster-membership queries follow a Zipf
 // law over vertex ids, and two Maintainers — one on the certified repair
 // path, one forced to full recompute — consume identical batches. Each row
-// checks the partitions stay bit-identical, reads repair and recompute
+// checks the partitions stay bit-identical (a verdict: no batch may
+// differ in any field but Metrics), reads repair and recompute
 // latency quantiles from the dyn.repair.* histograms, and measures how
 // often a hot vertex's cluster survives a batch untouched (assignment
 // stability, the property that makes session caches worth invalidating
@@ -16,8 +17,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"reflect"
 
 	"netdecomp/internal/decomp"
+	"netdecomp/internal/dist"
 	"netdecomp/internal/dyn"
 	"netdecomp/internal/gen"
 	"netdecomp/internal/graph"
@@ -81,17 +84,12 @@ func clusterID(p *decomp.Partition, v int) int {
 	return p.Clusters[ci].Members[0]
 }
 
-// samePartition compares the observable content of two partitions.
+// samePartition reports whether two partitions agree in every field but
+// Metrics, the account of the execution that produced each.
 func samePartition(a, b *decomp.Partition) bool {
-	if a.Colors != b.Colors || a.Complete != b.Complete || len(a.ClusterOf) != len(b.ClusterOf) {
-		return false
-	}
-	for v := range a.ClusterOf {
-		if a.ClusterOf[v] != b.ClusterOf[v] {
-			return false
-		}
-	}
-	return true
+	x, y := *a, *b
+	x.Metrics, y.Metrics = dist.Metrics{}, dist.Metrics{}
+	return reflect.DeepEqual(x, y)
 }
 
 // fmtMsQuantiles renders a nanosecond histogram's p50/p90/p99 in ms.
@@ -146,7 +144,7 @@ func T15ChurnRepair(cfg Config) (*Table, error) {
 		rng := rand.New(rand.NewPCG(uint64(cfg.Seed)+77, uint64(lam*1000)))
 		zipf := rand.NewZipf(rng, 1.4, 1, uint64(n-1))
 		cur := mr.Graph()
-		stable, asked := 0, 0
+		stable, asked, divergent := 0, 0, 0
 		for b := 0; b < batches; b++ {
 			size := poissonDraw(rng, lam)
 			if size == 0 {
@@ -168,7 +166,7 @@ func T15ChurnRepair(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			if !samePartition(pR, pC) {
-				return nil, fmt.Errorf("T15: repair diverged from recompute at lambda=%g batch %d", lam, b)
+				divergent++
 			}
 			// Zipf query mix: hot vertices dominate, so this measures the
 			// stability a session cache actually experiences.
@@ -193,8 +191,9 @@ func T15ChurnRepair(cfg Config) (*Table, error) {
 		t.AddRow(fmtF(lam), fmtInt(batches), fmtInt(repairs), fmtInt(fallbacks),
 			fmtMsQuantiles(hR), fmtMsQuantiles(hC), speedup,
 			fmt.Sprintf("%.3f", float64(stable)/float64(asked)))
+		t.AtMost(fmt.Sprintf("lambda=%s batches whose repair differs from recompute", fmtF(lam)), float64(divergent), 0)
 	}
 	t.AddNote("torus n=%d, %d Zipf(1.4) queries per batch; batch sizes ~ Poisson(lambda), "+
-		"balanced half-delete/half-insert; partitions verified bit-identical every batch", n, queries)
+		"balanced half-delete/half-insert; every batch compares the two partitions in every field but Metrics", n, queries)
 	return t, nil
 }
