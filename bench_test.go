@@ -172,7 +172,7 @@ func BenchmarkElkinNeimanE2E2048(b *testing.B) {
 // --- Hot-path benchmarks -------------------------------------------------
 //
 // Large-scale workloads targeting the two hot loops — the per-phase
-// broadcast simulation (core/phaseRunner.run) and the CONGEST engine
+// broadcast simulation (core/phaseRunner.runSparse) and the CONGEST engine
 // (internal/dist) — at sizes where O(n)-per-round scanning and
 // per-envelope mailbox churn dominate. The 2^16 workloads are gated rows
 // of BENCH_gates.json, recorded after the frontier-sparse + arena-mailbox
@@ -200,6 +200,15 @@ func hotpathRun(b *testing.B, algo string, g netdecomp.GraphInterface, opts ...n
 func BenchmarkHotpathSim65536(b *testing.B) {
 	g := gen.GnpConnected(randx.New(3), 1<<16, 8.0/float64(1<<16-1))
 	hotpathRun(b, "elkin-neiman", g, netdecomp.WithForceComplete())
+}
+
+// BenchmarkHotpathSimParallel65536 is BenchmarkHotpathSim65536 on the
+// deterministic parallel simulation with two workers: beside the
+// sequential row it shows whether the receiver-sharded rounds pay at this
+// size.
+func BenchmarkHotpathSimParallel65536(b *testing.B) {
+	g := gen.GnpConnected(randx.New(3), 1<<16, 8.0/float64(1<<16-1))
+	hotpathRun(b, "elkin-neiman", g, netdecomp.WithForceComplete(), netdecomp.WithParallel(2))
 }
 
 // BenchmarkHotpathSim262144 scales the simulation to 2^18 vertices.

@@ -53,9 +53,13 @@ func TopKForwardingAblation(g graph.Interface, seed uint64, beta float64, k, kee
 	var joined []int
 	var centers []int
 	if keep == 2 {
+		all := make([]int32, n)
+		for v := range all {
+			all[v] = int32(v)
+		}
 		runner := newPhaseRunner(g)
 		copy(runner.radius, radius)
-		res := runner.run(alive, k, nil)
+		res := runner.runSparse(alive, all, k, nil)
 		joined, centers = res.joined, res.centers
 	} else {
 		joined, centers = runTopOnePhase(g, alive, radius, k)
@@ -93,7 +97,7 @@ func runTopOnePhase(g graph.Interface, alive []bool, radius []float64, rounds in
 	for v := 0; v < n; v++ {
 		state[v].reset()
 		if alive[v] {
-			state[v].merge(v, radius[v])
+			state[v].merge(int32(v), radius[v])
 			changed[v] = true
 		}
 	}
@@ -134,7 +138,7 @@ func runTopOnePhase(g graph.Interface, alive []bool, radius []float64, rounds in
 	for v := 0; v < n; v++ {
 		if alive[v] && state[v].joins() {
 			joined = append(joined, v)
-			centers[v] = state[v].c1
+			centers[v] = int(state[v].c1)
 		}
 	}
 	return joined, centers

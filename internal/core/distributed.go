@@ -141,15 +141,15 @@ func (p *program) sendEntries(node int) []dist.Send[Msg] {
 	s := &p.state[node]
 	var msg Msg
 	if s.c1 != none && s.v1 >= 1 {
-		msg.C1, msg.V1 = int32(s.c1), s.v1
+		msg.C1, msg.V1 = s.c1, s.v1
 		msg.NumEntries = 1
 	}
 	if s.c2 != none && s.v2 >= 1 {
 		if msg.NumEntries == 1 {
-			msg.C2, msg.V2 = int32(s.c2), s.v2
+			msg.C2, msg.V2 = s.c2, s.v2
 			msg.NumEntries = 2
 		} else {
-			msg.C1, msg.V1 = int32(s.c2), s.v2
+			msg.C1, msg.V1 = s.c2, s.v2
 			msg.NumEntries = 1
 		}
 	}
@@ -168,10 +168,10 @@ func (p *program) mergeInbox(node int, in []dist.Envelope[Msg]) bool {
 		if m.Depart {
 			continue
 		}
-		if m.NumEntries >= 1 && p.state[node].merge(int(m.C1), m.V1-1) {
+		if m.NumEntries >= 1 && p.state[node].merge(m.C1, m.V1-1) {
 			changed = true
 		}
-		if m.NumEntries >= 2 && p.state[node].merge(int(m.C2), m.V2-1) {
+		if m.NumEntries >= 2 && p.state[node].merge(m.C2, m.V2-1) {
 			changed = true
 		}
 	}
@@ -201,7 +201,7 @@ func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Send[Ms
 		rng := randx.Derive(p.opts.Seed, uint64(phase), uint64(node))
 		p.radius[node] = randx.Exp(rng, p.beta(phase))
 		p.state[node].reset()
-		p.state[node].merge(node, p.radius[node])
+		p.state[node].merge(int32(node), p.radius[node])
 		return p.sendEntries(node), false
 	}
 
@@ -217,7 +217,7 @@ func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Send[Ms
 	// Decision sub-round.
 	if p.state[node].joins() {
 		p.joinedPhase[node] = phase
-		p.center[node] = p.state[node].c1
+		p.center[node] = int(p.state[node].c1)
 		return p.sendTo(node, Msg{Depart: true}), true
 	}
 	return nil, false

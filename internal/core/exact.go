@@ -12,10 +12,10 @@ import (
 // negative maxHops means unbounded (RadiusExact semantics).
 //
 // This is the O(Σ ball-size · degree) reference implementation against
-// which the top-two forwarding discipline of phaseRunner.run (and of the
-// message-passing program in distributed.go) is validated: the paper's
-// CONGEST argument says forwarding only the two best values per round
-// loses nothing, and the tests verify that claim computationally.
+// which the top-two forwarding discipline of phaseRunner.runSparse (and
+// of the message-passing program in distributed.go) is validated: the
+// paper's CONGEST argument says forwarding only the two best values per
+// round loses nothing, and the tests verify that claim computationally.
 func exactTopTwo(g graph.Interface, alive []bool, radius []float64, maxHops int) []topTwo {
 	n := g.N()
 	states := make([]topTwo, n)
@@ -42,7 +42,7 @@ func exactTopTwo(g graph.Interface, alive []bool, radius []float64, maxHops int)
 		dist[v] = 0
 		stamp[v] = epoch
 		queue = append(queue, int32(v))
-		states[v].merge(v, r)
+		states[v].merge(int32(v), r)
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			du := dist[u]
@@ -56,7 +56,7 @@ func exactTopTwo(g graph.Interface, alive []bool, radius []float64, maxHops int)
 				stamp[w] = epoch
 				dist[w] = du + 1
 				queue = append(queue, w)
-				states[w].merge(v, r-float64(du+1))
+				states[w].merge(int32(v), r-float64(du+1))
 			}
 		}
 	}
@@ -74,7 +74,7 @@ func exactPhaseJoin(g graph.Interface, alive []bool, radius []float64, maxHops i
 	for v := 0; v < g.N(); v++ {
 		if alive[v] && states[v].joins() {
 			joined = append(joined, v)
-			centers[v] = states[v].c1
+			centers[v] = int(states[v].c1)
 		}
 	}
 	return joined, centers

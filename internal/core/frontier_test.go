@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -10,12 +11,25 @@ import (
 	"netdecomp/internal/randx"
 )
 
+// run is runSparse with the ascending alive worklist derived from the
+// mask, the form the phase tests drive.
+func (p *phaseRunner) run(alive []bool, rounds int, emit func(msgs, words int64)) phaseResult {
+	list := make([]int32, 0, p.n)
+	for v := 0; v < p.n; v++ {
+		if alive[v] {
+			list = append(list, int32(v))
+		}
+	}
+	return p.runSparse(alive, list, rounds, emit)
+}
+
 // denseRunPhase is the pre-frontier reference loop: the O(n)-per-round
 // simulation that scans every vertex each round and filters alive
 // neighbors inline. It is kept verbatim as the property-test oracle for
 // the frontier-sparse runner — any divergence in joins, centers, traffic
 // accounting or the emitted per-round stream is a bug in the worklist
-// machinery.
+// machinery. It merges through mergeRef, so a wrong fast path in the
+// production merge cannot corrupt the oracle too.
 func denseRunPhase(g graph.Interface, alive []bool, radius []float64, rounds int, emit func(msgs, words int64)) phaseResult {
 	n := g.N()
 	state := make([]topTwo, n)
@@ -29,12 +43,12 @@ func denseRunPhase(g graph.Interface, alive []bool, radius []float64, rounds int
 		state[v].reset()
 		centers[v] = none
 		if alive[v] {
-			state[v].merge(v, radius[v])
+			state[v].mergeRef(int32(v), radius[v])
 			changed[v] = true
 		}
 	}
 	type entry struct {
-		c int
+		c int32
 		m float64
 	}
 	var buf [2]entry
@@ -71,7 +85,7 @@ func denseRunPhase(g graph.Interface, alive []bool, radius []float64, rounds int
 					res.maxMsgWords = words
 				}
 				for i := 0; i < k; i++ {
-					if state[w].merge(buf[i].c, buf[i].m-1) {
+					if state[w].mergeRef(buf[i].c, buf[i].m-1) {
 						dirty[w] = true
 					}
 				}
@@ -101,7 +115,7 @@ func denseRunPhase(g graph.Interface, alive []bool, radius []float64, rounds int
 		}
 		if state[v].joins() {
 			res.joined = append(res.joined, v)
-			centers[v] = state[v].c1
+			centers[v] = int(state[v].c1)
 		}
 	}
 	res.centers = centers
@@ -220,6 +234,50 @@ func TestFrontierParallelBitIdentical(t *testing.T) {
 				var gotEmit []emitRow
 				got := runner.run(alive, k, func(m, w int64) { gotEmit = append(gotEmit, emitRow{m, w}) })
 				comparePhase(t, "parallel", got, want, gotEmit, wantEmit)
+			}
+		}
+	}
+}
+
+// TestFrontierGridRadiiMatchesDense draws radii on a half-step grid, so
+// distinct centers offer equal shifted values and both rejects of the
+// delivery loop — merge's and deliver's one compare against the
+// receiver's second slot — meet their strict compare at equality, which
+// exponential draws never do. The sequential round and the parallel round
+// at 2–4 workers must each reproduce the dense oracle.
+func TestFrontierGridRadiiMatchesDense(t *testing.T) {
+	defer func(old int) { parallelThreshold = old }(parallelThreshold)
+	parallelThreshold = 1
+
+	graphs := []*graph.Graph{
+		gen.GnpConnected(randx.New(71), 300, 0.02),
+		gen.Grid(15, 15),
+		gen.PowerLaw(randx.New(72), 256, 3),
+		gen.RingOfCliques(10, 6),
+	}
+	for gi, g := range graphs {
+		rng := randx.New(uint64(gi) + 73)
+		alive := make([]bool, g.N())
+		radius := make([]float64, g.N())
+		for _, frac := range []float64{1.0, 0.7} {
+			for v := range alive {
+				alive[v] = frac == 1.0 || rng.Float64() < frac
+			}
+			for _, k := range []int{2, 4, 6} {
+				for v := range radius {
+					radius[v] = float64(rng.Intn(2*k+3)) / 2
+				}
+				var wantEmit []emitRow
+				want := denseRunPhase(g, alive, radius, k, func(m, w int64) { wantEmit = append(wantEmit, emitRow{m, w}) })
+				for workers := 1; workers <= 4; workers++ {
+					runner := newPhaseRunner(g)
+					runner.parallel = workers > 1
+					runner.workers = workers
+					copy(runner.radius, radius)
+					var gotEmit []emitRow
+					got := runner.run(alive, k, func(m, w int64) { gotEmit = append(gotEmit, emitRow{m, w}) })
+					comparePhase(t, fmt.Sprintf("graph %d alive %v k %d workers %d", gi, frac, k, workers), got, want, gotEmit, wantEmit)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -17,8 +18,11 @@ const none = -1
 // largest values m = r_v − d(y, v) seen so far, with their centers.
 // Ties (which have probability zero for continuous draws) break toward the
 // smaller center id so that every execution order yields the same state.
+// Centers are int32 like the CSR's vertex ids, which keeps the struct at
+// 24 bytes: it is the simulation's per-vertex state and the row of every
+// repair table.
 type topTwo struct {
-	c1, c2 int
+	c1, c2 int32
 	v1, v2 float64
 }
 
@@ -29,7 +33,7 @@ func (t *topTwo) reset() {
 }
 
 // beats reports whether candidate (c, m) outranks incumbent (ci, vi).
-func beats(m float64, c int, vi float64, ci int) bool {
+func beats(m float64, c int32, vi float64, ci int32) bool {
 	if ci == none {
 		return true
 	}
@@ -43,7 +47,15 @@ func beats(m float64, c int, vi float64, ci int) bool {
 // state and ties break by center id, the final state — and therefore the
 // whole phase — is independent of delivery order, which is what lets the
 // sharded parallel mode below stay bit-identical to the sequential loop.
-func (t *topTwo) merge(c int, m float64) bool {
+//
+// A value below a filled second slot is rejected by its first compare: it
+// loses to both slots whatever its center, and if its center holds a slot
+// it is no improvement there either. Most merges of a dense phase are such
+// values, so the center switch below runs for the few that can win.
+func (t *topTwo) merge(c int32, m float64) bool {
+	if m < t.v2 && t.c2 != none {
+		return false
+	}
 	switch c {
 	case t.c1:
 		if m > t.v1 {
@@ -106,8 +118,9 @@ type phaseResult struct {
 // parallel path on small graphs).
 var parallelThreshold = 2048
 
-// shardScratch is one receiver-shard's private accumulator in the parallel
-// round: traffic counters and the shard's slice of the next frontier.
+// shardScratch is one delivery loop's private accumulator: traffic
+// counters and its slice of the next frontier. The sequential round uses
+// one; the parallel round one per receiver shard.
 type shardScratch struct {
 	msgs, words int64
 	maxw        int
@@ -218,25 +231,11 @@ func drawRadiiSparse(seed uint64, phase int, aliveList []int32, beta float64, in
 	}
 }
 
-// run executes one phase on the surviving graph: the synchronous top-two
-// broadcast for the given number of rounds, then the join rule. alive is
-// not modified. radius must already contain the draws for this phase.
-//
-// It is a compatibility wrapper over runSparse that derives the ascending
-// alive worklist from the mask; callers that maintain the worklist across
-// phases (RunWith) use runSparse directly.
-func (p *phaseRunner) run(alive []bool, rounds int, emit func(msgs, words int64)) phaseResult {
-	list := make([]int32, 0, p.n)
-	for v := 0; v < p.n; v++ {
-		if alive[v] {
-			list = append(list, int32(v))
-		}
-	}
-	return p.runSparse(alive, list, rounds, emit)
-}
-
-// runSparse is the frontier-sparse phase simulation. aliveList must hold
-// exactly the vertices with alive[v] == true, ascending.
+// runSparse executes one phase on the surviving graph: the synchronous
+// top-two broadcast for the given number of rounds, then the join rule.
+// alive is not modified, and radius must already hold the phase's draws.
+// aliveList must hold exactly the vertices with alive[v] == true,
+// ascending.
 //
 // Each round, every vertex whose top-two list changed in the previous round
 // sends its (up to two) entries with value ≥ 1 to every alive neighbor;
@@ -270,17 +269,23 @@ func (p *phaseRunner) runSparseSeeded(alive []bool, aliveList []int32, rounds in
 
 	// Per-phase init: reset state, seed every alive vertex onto the round-0
 	// frontier, and compact the surviving graph's adjacency (hoisting the
-	// alive-neighbor filter out of the round loop).
+	// alive-neighbor filter out of the round loop). The alive rows' degree
+	// sum bounds the compacted size, so cAdj grows at most once per phase
+	// instead of by repeated appends.
+	need := 0
+	for _, v := range aliveList {
+		need += p.g.Degree(int(v))
+	}
+	p.cAdj = slices.Grow(p.cAdj[:0], need)
 	p.frontier = p.frontier[:0]
 	p.rowStart = p.rowStart[:0]
-	p.cAdj = p.cAdj[:0]
 	for _, v32 := range aliveList {
 		v := int(v32)
 		if s, ok := presetState(preset, v32); ok {
 			p.state[v] = s
 		} else {
 			p.state[v].reset()
-			p.state[v].merge(v, p.radius[v])
+			p.state[v].merge(v32, p.radius[v])
 		}
 		p.dirty[v] = false
 		p.centers[v] = none
@@ -347,7 +352,7 @@ func (p *phaseRunner) runSparseSeeded(alive []bool, aliveList []int32, rounds in
 		v := int(v32)
 		if p.state[v].joins() {
 			res.joined = append(res.joined, v)
-			p.centers[v] = p.state[v].c1
+			p.centers[v] = int(p.state[v].c1)
 		}
 	}
 	res.centers = p.centers
@@ -374,53 +379,81 @@ func (p *phaseRunner) runSparseSeeded(alive []bool, aliveList []int32, rounds in
 }
 
 // loadSend reads vertex v's frozen broadcast for this round; ok is false
-// when nothing meets the value ≥ 1 forwarding gate.
+// when nothing meets the value ≥ 1 forwarding gate. The entries keep the
+// state's order, so m.v1 ≥ m.v2 when m.k is 2.
 func (p *phaseRunner) loadSend(v int) (m sendMsg, ok bool) {
 	s := &p.snap[v]
 	if s.c1 != none && s.v1 >= 1 {
-		m.c1, m.v1 = int32(s.c1), s.v1
+		m.c1, m.v1 = s.c1, s.v1
 		m.k = 1
 	}
 	if s.c2 != none && s.v2 >= 1 {
 		if m.k == 1 {
-			m.c2, m.v2 = int32(s.c2), s.v2
+			m.c2, m.v2 = s.c2, s.v2
 			m.k = 2
 		} else {
-			m.c1, m.v1 = int32(s.c2), s.v2
+			m.c1, m.v1 = s.c2, s.v2
 			m.k = 1
 		}
 	}
 	return m, m.k > 0
 }
 
+// deliver is the delivery loop of both round kinds: it folds sender
+// message m, one hop on, into every receiver in row and appends each
+// receiver whose state changed to sh.next (the dirty flags keep the next
+// frontier duplicate-free). Traffic is counted once per sender: one
+// message of 2·k words to each receiver.
+//
+// A receiver whose filled second slot is above the first entry's
+// decremented value is skipped after one compare: the second entry is no
+// larger, so neither can change its state (see merge).
+func (p *phaseRunner) deliver(sh *shardScratch, m sendMsg, row []int32) {
+	if len(row) == 0 {
+		return
+	}
+	words := int(2 * m.k)
+	sh.msgs += int64(len(row))
+	sh.words += int64(len(row) * words)
+	sh.maxw = max(sh.maxw, words)
+	c1, d1 := m.c1, m.v1-1
+	c2, d2 := m.c2, m.v2-1
+	two := m.k == 2
+	for _, w := range row {
+		s := &p.state[w]
+		if d1 < s.v2 && s.c2 != none {
+			continue
+		}
+		changed := s.merge(c1, d1)
+		if two && s.merge(c2, d2) {
+			changed = true
+		}
+		if changed && !p.dirty[w] {
+			p.dirty[w] = true
+			sh.next = append(sh.next, w)
+		}
+	}
+}
+
+// addTraffic folds one delivery shard's counters into the phase totals.
+func (res *phaseResult) addTraffic(sh *shardScratch) {
+	res.messages += sh.msgs
+	res.words += sh.words
+	res.maxMsgWords = max(res.maxMsgWords, sh.maxw)
+}
+
 // roundSequential delivers one round's frontier broadcasts in ascending
 // sender order, collecting the next frontier in discovery order.
 func (p *phaseRunner) roundSequential(res *phaseResult) {
-	next := p.next
+	sh := shardScratch{next: p.next}
 	for _, v32 := range p.frontier {
 		v := int(v32)
-		m, ok := p.loadSend(v)
-		if !ok {
-			continue
-		}
-		words := int(2 * m.k)
-		for _, w := range p.row(v) {
-			res.messages++
-			res.words += int64(words)
-			if words > res.maxMsgWords {
-				res.maxMsgWords = words
-			}
-			changed := p.state[w].merge(int(m.c1), m.v1-1)
-			if m.k == 2 && p.state[w].merge(int(m.c2), m.v2-1) {
-				changed = true
-			}
-			if changed && !p.dirty[w] {
-				p.dirty[w] = true
-				next = append(next, w)
-			}
+		if m, ok := p.loadSend(v); ok {
+			p.deliver(&sh, m, p.row(v))
 		}
 	}
-	p.next = next
+	res.addTraffic(&sh)
+	p.next = sh.next
 }
 
 // roundParallel is the deterministic parallel round: receivers are
@@ -458,8 +491,7 @@ func (p *phaseRunner) roundParallel(res *phaseResult) {
 			sh.msgs, sh.words, sh.maxw = 0, 0, 0
 			sh.next = sh.next[:0]
 			for fi, v32 := range p.frontier {
-				m := p.sendBuf[fi]
-				if m.k == 0 {
+				if p.sendBuf[fi].k == 0 {
 					continue
 				}
 				row := p.row(int(v32))
@@ -472,25 +504,7 @@ func (p *phaseRunner) roundParallel(res *phaseResult) {
 				}
 				a := sort.Search(len(row), func(i int) bool { return row[i] >= lo })
 				b := sort.Search(len(row), func(i int) bool { return row[i] >= hi })
-				if a == b {
-					continue
-				}
-				words := int(2 * m.k)
-				if words > sh.maxw {
-					sh.maxw = words
-				}
-				sh.msgs += int64(b - a)
-				sh.words += int64(b-a) * int64(words)
-				for _, w := range row[a:b] {
-					changed := p.state[w].merge(int(m.c1), m.v1-1)
-					if m.k == 2 && p.state[w].merge(int(m.c2), m.v2-1) {
-						changed = true
-					}
-					if changed && !p.dirty[w] {
-						p.dirty[w] = true
-						sh.next = append(sh.next, w)
-					}
-				}
+				p.deliver(sh, p.sendBuf[fi], row[a:b])
 			}
 		}(s)
 	}
@@ -499,11 +513,7 @@ func (p *phaseRunner) roundParallel(res *phaseResult) {
 	next := p.next
 	for s := 0; s < workers; s++ {
 		sh := &p.shards[s]
-		res.messages += sh.msgs
-		res.words += sh.words
-		if sh.maxw > res.maxMsgWords {
-			res.maxMsgWords = sh.maxw
-		}
+		res.addTraffic(sh)
 		next = append(next, sh.next...)
 	}
 	p.next = next

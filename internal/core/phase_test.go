@@ -2,7 +2,84 @@ package core
 
 import (
 	"testing"
+	"unsafe"
+
+	"netdecomp/internal/randx"
 )
+
+// mergeRef is the top-two merge without the dominated-value reject, with
+// its own tie rule: the tests' oracle. The dense phase loop folds through
+// it, and TestTopTwoMergeMatchesRef holds merge to it.
+func (t *topTwo) mergeRef(c int32, m float64) bool {
+	switch c {
+	case t.c1:
+		if m > t.v1 {
+			t.v1 = m
+			return true
+		}
+		return false
+	case t.c2:
+		if m <= t.v2 {
+			return false
+		}
+		t.v2 = m
+		if beatsRef(t.v2, t.c2, t.v1, t.c1) {
+			t.c1, t.c2 = t.c2, t.c1
+			t.v1, t.v2 = t.v2, t.v1
+		}
+		return true
+	}
+	if beatsRef(m, c, t.v1, t.c1) {
+		t.c2, t.v2 = t.c1, t.v1
+		t.c1, t.v1 = c, m
+		return true
+	}
+	if beatsRef(m, c, t.v2, t.c2) {
+		t.c2, t.v2 = c, m
+		return true
+	}
+	return false
+}
+
+// beatsRef reports whether candidate (c, m) outranks incumbent (ci, vi).
+func beatsRef(m float64, c int32, vi float64, ci int32) bool {
+	if ci == none {
+		return true
+	}
+	return m > vi || (m == vi && c < ci)
+}
+
+// TestTopTwoMergeMatchesRef drives merge and mergeRef through the same
+// random merge sequences on tie-heavy inputs: centers from a handful of
+// ids, values on a half-step grid that includes 0 and repeats values
+// often, so the reject's strict compare meets equality all the time. Each
+// merge must report the same change and leave the same state.
+func TestTopTwoMergeMatchesRef(t *testing.T) {
+	rng := randx.New(61)
+	for trial := 0; trial < 5000; trial++ {
+		var got, want topTwo
+		got.reset()
+		want.reset()
+		for step := 0; step < 12; step++ {
+			c := int32(rng.Intn(5))
+			m := float64(rng.Intn(9)) / 2
+			before := got
+			changed, wantChanged := got.merge(c, m), want.mergeRef(c, m)
+			if changed != wantChanged || got != want {
+				t.Fatalf("trial %d: merge(%d, %v) on %+v = %v -> %+v, reference %v -> %+v",
+					trial, c, m, before, changed, got, wantChanged, want)
+			}
+		}
+	}
+}
+
+// TestTopTwoIs24Bytes pins the layout every per-vertex state array of the
+// simulation and every row of a repair table pays for.
+func TestTopTwoIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(topTwo{}); got != 24 {
+		t.Fatalf("topTwo is %d bytes, want 24", got)
+	}
+}
 
 func TestTopTwoMergeBasic(t *testing.T) {
 	var s topTwo
@@ -28,7 +105,7 @@ func TestTopTwoMergeBasic(t *testing.T) {
 func TestTopTwoMergeOrderIndependent(t *testing.T) {
 	// All permutations of three entries must yield the same top two.
 	entries := []struct {
-		c int
+		c int32
 		m float64
 	}{{1, 5.0}, {2, 7.5}, {3, 6.25}}
 	perms := [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}

@@ -214,7 +214,7 @@ func RunRepairable(g graph.Interface, o Options) (*Decomposition, *RepairState, 
 		for _, v := range aliveList {
 			if state[v].joins() {
 				st.joinPhase[v] = int32(phase)
-				st.center[v] = int32(state[v].c1)
+				st.center[v] = state[v].c1
 			}
 		}
 		pf := newPhaseFinals(n, aliveList, state)
@@ -834,7 +834,7 @@ func (r *repairer) compose() {
 			r.everList = append(r.everList, v)
 		}
 		if s := &r.runner.state[v]; s.joins() {
-			r.next.joinPhase[v], r.next.center[v] = p, int32(s.c1)
+			r.next.joinPhase[v], r.next.center[v] = p, s.c1
 		} else if r.next.joinPhase[v] == p {
 			r.next.joinPhase[v], r.next.center[v] = -1, none
 		}

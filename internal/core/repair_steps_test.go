@@ -161,7 +161,7 @@ func TestRepairCertify(t *testing.T) {
 				// A tampered value needs a round to travel.
 				if w, ok := shellVertex(r, g2); ok && unionMax > 0 {
 					saved, _ := pf.lookup(w)
-					pf.set(w, topTwo{c1: int(w), v1: 100, c2: none})
+					pf.set(w, topTwo{c1: w, v1: 100, c2: none})
 					r.simulate(pf, r.rList, unionMax)
 					if len(r.failList) == 0 {
 						t.Fatalf("%v phase %d: tampered final of shell vertex %d certified", o.Variant, phase, w)
@@ -244,13 +244,13 @@ func randomOutcome(rng *randx.SplitMix64, r *repairer, share int) {
 		switch {
 		case r.prior.joinPhase[v] == p:
 			if rng.Intn(4) != 0 {
-				s.c1, s.v1 = int(r.prior.center[v]), 2
+				s.c1, s.v1 = r.prior.center[v], 2
 				if rng.Intn(4) == 0 {
-					s.c1 = rng.Intn(r.n)
+					s.c1 = int32(rng.Intn(r.n))
 				}
 			}
 		case rng.Intn(others) == 0:
-			s.c1, s.v1 = rng.Intn(r.n), 2
+			s.c1, s.v1 = int32(rng.Intn(r.n)), 2
 		}
 		r.runner.state[v] = s
 	}
@@ -383,7 +383,7 @@ func TestRepairAdvance(t *testing.T) {
 				s := &r.runner.state[v]
 				joins, center := st.joinPhase[v] == int32(phase), st.center[v]
 				if trusted[v] {
-					joins, center = s.joins(), int32(s.c1)
+					joins, center = s.joins(), s.c1
 				}
 				if joins {
 					alive[v] = false
