@@ -202,15 +202,6 @@ func BenchmarkHotpathSim65536(b *testing.B) {
 	hotpathRun(b, "elkin-neiman", g, netdecomp.WithForceComplete())
 }
 
-// BenchmarkHotpathSimParallel65536 is BenchmarkHotpathSim65536 on the
-// deterministic parallel simulation with two workers: beside the
-// sequential row it shows whether the receiver-sharded rounds pay at this
-// size.
-func BenchmarkHotpathSimParallel65536(b *testing.B) {
-	g := gen.GnpConnected(randx.New(3), 1<<16, 8.0/float64(1<<16-1))
-	hotpathRun(b, "elkin-neiman", g, netdecomp.WithForceComplete(), netdecomp.WithParallel(2))
-}
-
 // BenchmarkHotpathSim262144 scales the simulation to 2^18 vertices.
 func BenchmarkHotpathSim262144(b *testing.B) {
 	g := gen.GnpConnected(randx.New(4), 1<<18, 8.0/float64(1<<18-1))

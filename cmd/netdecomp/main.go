@@ -34,7 +34,7 @@ import (
 //
 //	netdecomp -family gnp -n 4096 -k 8
 //	netdecomp -family grid -n 1024 -variant t3 -lambda 3
-//	netdecomp -family gnp -n 1024 -distributed -parallel
+//	netdecomp -family gnp -n 1024 -distributed
 //	netdecomp -family gnp -n 1024 -algo linial-saks -timeout 30s
 //	netdecomp -family grid -n 900 -algo mpx/dist -beta 0.4
 //	netdecomp -family gnp -n 1024 -repeat 5            # cache hits
@@ -76,7 +76,6 @@ func run(args []string, w io.Writer) error {
 	mode := fs.String("mode", "cap", "radius mode: cap (paper) or exact")
 	force := fs.Bool("force", false, "keep carving past the budget until complete")
 	distributed := fs.Bool("distributed", false, "execute on the message-passing engine")
-	parallel := fs.Bool("parallel", false, "with -distributed: use the goroutine-parallel scheduler")
 	timeout := fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	repeat := fs.Int("repeat", 1, "submit the identical job this many times through a session (exercises the result cache)")
 	pipelineFile := fs.String("pipeline", "", "execute a JSON pipeline document (the POST /v1/pipeline spec) on the graph instead of a single plan; -repeat re-runs it against the warm session")
@@ -174,7 +173,7 @@ func run(args []string, w io.Writer) error {
 		opts = append(opts, decomp.WithForceComplete())
 	}
 	if *distributed {
-		opts = append(opts, decomp.WithScheduler(*parallel, 0))
+		opts = append(opts, decomp.WithEngine())
 	}
 	pl, err := decomp.Compile(name, opts...)
 	if err != nil {

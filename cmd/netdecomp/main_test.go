@@ -27,7 +27,6 @@ func TestRunVariants(t *testing.T) {
 		{"-family", "gnp", "-n", "128", "-variant", "t3", "-lambda", "2"},
 		{"-family", "tree", "-n", "128", "-mode", "exact", "-force"},
 		{"-family", "cycle", "-n", "64", "-distributed"},
-		{"-family", "cycle", "-n", "64", "-distributed", "-parallel"},
 		{"-family", "gnp", "-n", "128", "-algo", "linial-saks", "-force"},
 		{"-family", "gnp", "-n", "128", "-algo", "mpx"},
 		{"-family", "grid", "-n", "100", "-algo", "mpx/dist", "-beta", "0.4"},

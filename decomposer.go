@@ -106,19 +106,6 @@ func WithExactRadius() DecomposeOption { return decomp.WithExactRadius() }
 // has both paths.
 func WithEngine() DecomposeOption { return decomp.WithEngine() }
 
-// WithScheduler selects the engine scheduler (and implies WithEngine):
-// parallel toggles the goroutine pool, workers caps it (0 = GOMAXPROCS).
-func WithScheduler(parallel bool, workers int) DecomposeOption {
-	return decomp.WithScheduler(parallel, workers)
-}
-
-// WithParallel enables deterministic parallel execution on whichever path
-// the algorithm runs — the engine's goroutine-pool scheduler, or the
-// receiver-sharded rounds of the sequential simulation — with results
-// bit-identical to sequential execution; workers caps the pool
-// (0 = GOMAXPROCS).
-func WithParallel(workers int) DecomposeOption { return decomp.WithParallel(workers) }
-
 // WithObserver streams per-round traffic statistics to fn as the run
 // executes.
 func WithObserver(fn func(RoundStats)) DecomposeOption { return decomp.WithObserver(fn) }

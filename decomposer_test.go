@@ -91,7 +91,7 @@ func TestObserverThroughFacade(t *testing.T) {
 	g := netdecomp.Grid(10, 10)
 	var calls int
 	p, err := netdecomp.MustGet("elkin-neiman/dist").Decompose(context.Background(), g,
-		netdecomp.WithSeed(3), netdecomp.WithScheduler(true, 4),
+		netdecomp.WithSeed(3), netdecomp.WithEngine(),
 		netdecomp.WithObserver(func(r netdecomp.RoundStats) { calls++ }))
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"reflect"
 
 	"netdecomp/internal/core"
 	"netdecomp/internal/dist"
@@ -42,13 +43,18 @@ func main() {
 	fmt.Printf("engine: %d rounds, %d messages, %d words total, max message %d words\n",
 		metrics.Rounds, metrics.Messages, metrics.Words, metrics.MaxMessageWords)
 
-	// The same run through the sequential reference must agree exactly.
+	// The same run through the sequential reference must agree exactly:
+	// the same clusters and the same message and word totals.
 	ref, err := core.Run(g, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cross-check vs sequential simulation: clusters %d==%d, messages %d==%d\n",
-		len(ref.Clusters), len(p.Clusters), ref.Metrics.Messages, metrics.Messages)
+	fmt.Printf("cross-check vs sequential simulation: clusters %d==%d, messages %d==%d, words %d==%d\n",
+		len(ref.Clusters), len(p.Clusters), ref.Metrics.Messages, metrics.Messages, ref.Metrics.Words, metrics.Words)
+	if !reflect.DeepEqual(ref.MemberLists(), p.MemberLists()) ||
+		ref.Metrics.Messages != metrics.Messages || ref.Metrics.Words != metrics.Words {
+		log.Fatal("cross-check failed: the engine and the simulation disagree")
+	}
 
 	// Busiest rounds of the execution.
 	fmt.Println("\nbusiest rounds (phase boundaries carry the initial broadcasts):")

@@ -68,7 +68,7 @@ func main() {
 	busiest := netdecomp.RoundStats{}
 	calls := 0
 	_, err = netdecomp.MustGet("elkin-neiman/dist").Decompose(context.Background(), g,
-		netdecomp.WithSeed(7), netdecomp.WithScheduler(true, 0),
+		netdecomp.WithSeed(7), netdecomp.WithEngine(),
 		netdecomp.WithObserver(func(r netdecomp.RoundStats) {
 			calls++
 			if r.Messages > busiest.Messages {

@@ -3,6 +3,7 @@ package baseline
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 
@@ -19,6 +20,15 @@ type MPXOptions struct {
 	Beta float64
 	// Seed drives the shift draws.
 	Seed uint64
+}
+
+// Validate reports why o cannot run on any graph, or nil. Both MPX paths
+// begin with it.
+func (o MPXOptions) Validate() error {
+	if o.Beta <= 0 || o.Beta > 1 {
+		return fmt.Errorf("baseline: MPX requires 0 < Beta <= 1, got %v", o.Beta)
+	}
+	return nil
 }
 
 // shifts draws the exponential shift δ_u ~ Exp(β) of every vertex u — the
@@ -53,8 +63,8 @@ func MPXContext(ctx context.Context, g graph.Interface, o MPXOptions) (*partitio
 			return nil, err
 		}
 	}
-	if o.Beta <= 0 || o.Beta > 1 {
-		return nil, errBeta(o.Beta)
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	n := g.N()
 	res := newMPXPartition("mpx", n)

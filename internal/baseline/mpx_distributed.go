@@ -10,11 +10,6 @@ import (
 	"netdecomp/internal/partition"
 )
 
-// errBeta reports an out-of-range exponential rate.
-func errBeta(beta float64) error {
-	return fmt.Errorf("baseline: MPX requires 0 < Beta <= 1, got %v", beta)
-}
-
 // MPXMsg is the CONGEST wire format of the round-based MPX broadcast: one
 // (center, shifted value) pair — top-1 forwarding, which is lossless for a
 // partition because only the winner matters (the same argument that makes
@@ -111,8 +106,8 @@ func (p *mpxProgram) Step(node, round int, in []dist.Envelope[MPXMsg]) ([]dist.S
 // options select the scheduler and per-round observation, and ctx cancels
 // between rounds.
 func MPXOnEngine(ctx context.Context, g graph.Interface, o MPXOptions, engineOpts dist.Options) (*partition.Partition, error) {
-	if o.Beta <= 0 || o.Beta > 1 {
-		return nil, errBeta(o.Beta)
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	n := g.N()
 	res := newMPXPartition("mpx/dist", n)

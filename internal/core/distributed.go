@@ -223,6 +223,19 @@ func (p *program) Step(node, round int, in []dist.Envelope[Msg]) ([]dist.Send[Ms
 	return nil, false
 }
 
+// nodeProgramError reports the resolved options RunDistributed refuses
+// whatever the graph: RadiusExact, because a node cannot locally know the
+// global maximum radius, and CaptureTrace, which only Run records.
+func (o Options) nodeProgramError() error {
+	switch {
+	case o.RadiusMode == RadiusExact:
+		return fmt.Errorf("core: RadiusExact requires global knowledge and is not implementable as a node program; use Run")
+	case o.CaptureTrace:
+		return fmt.Errorf("core: CaptureTrace is only supported by Run")
+	}
+	return nil
+}
+
 // RunDistributed executes the decomposition as a true message-passing
 // program on the internal/dist engine (sequential or goroutine-parallel
 // per engineOpts) and assembles the resulting Decomposition, whose Metrics
@@ -240,14 +253,11 @@ func RunDistributed(ctx context.Context, g graph.Interface, o Options, engineOpt
 	}
 	n := g.N()
 	o2, sched, err := resolve(n, o)
+	if err == nil {
+		err = o2.nodeProgramError()
+	}
 	if err != nil {
 		return nil, err
-	}
-	if o2.RadiusMode == RadiusExact {
-		return nil, fmt.Errorf("core: RadiusExact requires global knowledge and is not implementable as a node program; use Run")
-	}
-	if o2.CaptureTrace {
-		return nil, fmt.Errorf("core: CaptureTrace is only supported by Run")
 	}
 	p := newProgram(g, o2, sched)
 	if engineOpts.MaxRounds == 0 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -14,8 +13,8 @@ import (
 // run is runSparse with the ascending alive worklist derived from the
 // mask, the form the phase tests drive.
 func (p *phaseRunner) run(alive []bool, rounds int, emit func(msgs, words int64)) phaseResult {
-	list := make([]int32, 0, p.n)
-	for v := 0; v < p.n; v++ {
+	list := make([]int32, 0, len(alive))
+	for v := range alive {
 		if alive[v] {
 			list = append(list, int32(v))
 		}
@@ -203,52 +202,13 @@ func TestFrontierSparseMatchesDense(t *testing.T) {
 	}
 }
 
-// TestFrontierParallelBitIdentical pins the deterministic parallel mode:
-// with the fallback threshold forced to zero, the receiver-sharded rounds
-// must reproduce the dense oracle exactly for every worker count.
-func TestFrontierParallelBitIdentical(t *testing.T) {
-	defer func(old int) { parallelThreshold = old }(parallelThreshold)
-	parallelThreshold = 1
-
-	graphs := []*graph.Graph{
-		gen.GnpConnected(randx.New(41), 250, 0.015),
-		gen.PowerLaw(randx.New(42), 200, 3),
-		gen.Grid(14, 14),
-	}
-	for gi, g := range graphs {
-		alive := make([]bool, g.N())
-		rng := randx.New(uint64(gi) + 7)
-		for v := range alive {
-			alive[v] = rng.Float64() < 0.85
-		}
-		radius := make([]float64, g.N())
-		for _, k := range []int{2, 5} {
-			drawRadii(uint64(gi*13+k), 0, alive, 0.9, radius)
-			var wantEmit []emitRow
-			want := denseRunPhase(g, alive, radius, k, func(m, w int64) { wantEmit = append(wantEmit, emitRow{m, w}) })
-			for workers := 1; workers <= 8; workers++ {
-				runner := newPhaseRunner(g)
-				runner.parallel = true
-				runner.workers = workers
-				copy(runner.radius, radius)
-				var gotEmit []emitRow
-				got := runner.run(alive, k, func(m, w int64) { gotEmit = append(gotEmit, emitRow{m, w}) })
-				comparePhase(t, "parallel", got, want, gotEmit, wantEmit)
-			}
-		}
-	}
-}
-
 // TestFrontierGridRadiiMatchesDense draws radii on a half-step grid, so
 // distinct centers offer equal shifted values and both rejects of the
 // delivery loop — merge's and deliver's one compare against the
 // receiver's second slot — meet their strict compare at equality, which
-// exponential draws never do. The sequential round and the parallel round
-// at 2–4 workers must each reproduce the dense oracle.
+// exponential draws never do. The frontier round must reproduce the dense
+// oracle.
 func TestFrontierGridRadiiMatchesDense(t *testing.T) {
-	defer func(old int) { parallelThreshold = old }(parallelThreshold)
-	parallelThreshold = 1
-
 	graphs := []*graph.Graph{
 		gen.GnpConnected(randx.New(71), 300, 0.02),
 		gen.Grid(15, 15),
@@ -267,41 +227,13 @@ func TestFrontierGridRadiiMatchesDense(t *testing.T) {
 				for v := range radius {
 					radius[v] = float64(rng.Intn(2*k+3)) / 2
 				}
-				var wantEmit []emitRow
+				var gotEmit, wantEmit []emitRow
 				want := denseRunPhase(g, alive, radius, k, func(m, w int64) { wantEmit = append(wantEmit, emitRow{m, w}) })
-				for workers := 1; workers <= 4; workers++ {
-					runner := newPhaseRunner(g)
-					runner.parallel = workers > 1
-					runner.workers = workers
-					copy(runner.radius, radius)
-					var gotEmit []emitRow
-					got := runner.run(alive, k, func(m, w int64) { gotEmit = append(gotEmit, emitRow{m, w}) })
-					comparePhase(t, fmt.Sprintf("graph %d alive %v k %d workers %d", gi, frac, k, workers), got, want, gotEmit, wantEmit)
-				}
+				runner := newPhaseRunner(g)
+				copy(runner.radius, radius)
+				got := runner.run(alive, k, func(m, w int64) { gotEmit = append(gotEmit, emitRow{m, w}) })
+				comparePhase(t, fmt.Sprintf("graph %d alive %v k %d", gi, frac, k), got, want, gotEmit, wantEmit)
 			}
-		}
-	}
-}
-
-// TestRunWithParallelMatchesSequential asserts the end-to-end contract the
-// facade documents for WithParallel: a full forced-complete run on the
-// parallel simulation equals the sequential run field for field — clusters,
-// metrics, trace and all — for every worker count, including one far past
-// any pool the run could use.
-func TestRunWithParallelMatchesSequential(t *testing.T) {
-	g := gen.GnpConnected(randx.New(51), 3000, 0.003)
-	o := Options{K: 5, C: 8, Seed: 13, ForceComplete: true, CaptureTrace: true}
-	ref, err := Run(g, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, math.MaxInt} {
-		got, err := RunWith(g, o, Exec{Parallel: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d: parallel simulation diverged from sequential run", workers)
 		}
 	}
 }

@@ -152,9 +152,28 @@ type schedule struct {
 	budget int       // len(betas)
 }
 
-// resolve applies defaults and computes the phase schedule for a graph on n
-// vertices. It returns the effective options alongside the schedule.
-func resolve(n int, o Options) (Options, schedule, error) {
+// Validate applies the documented defaults to o and reports why it cannot
+// run on any graph, or nil. Run and Repair begin with exactly these checks
+// (RunDistributed with ValidateDistributed's), so options that pass fail
+// later only for a reason of the graph or the run.
+func (o Options) Validate() error {
+	_, err := o.withDefaults()
+	return err
+}
+
+// ValidateDistributed is Validate for RunDistributed, which also refuses
+// what a node program cannot do whatever the graph.
+func (o Options) ValidateDistributed() error {
+	o, err := o.withDefaults()
+	if err != nil {
+		return err
+	}
+	return o.nodeProgramError()
+}
+
+// withDefaults applies the defaults that do not depend on the graph and
+// makes the checks that do not either; resolve derives the rest from n.
+func (o Options) withDefaults() (Options, error) {
 	if o.Variant == 0 {
 		o.Variant = Theorem1
 	}
@@ -169,7 +188,29 @@ func resolve(n int, o Options) (Options, schedule, error) {
 		minC = 5.0
 	}
 	if o.C <= minC {
-		return o, schedule{}, fmt.Errorf("%w: C=%v must exceed %v for %v", errInvalidOptions, o.C, minC, o.Variant)
+		return o, fmt.Errorf("%w: C=%v must exceed %v for %v", errInvalidOptions, o.C, minC, o.Variant)
+	}
+	switch o.Variant {
+	case Theorem1, Theorem2:
+		if o.K < 0 {
+			return o, fmt.Errorf("%w: K=%d must be at least 1, or 0 for the default", errInvalidOptions, o.K)
+		}
+	case Theorem3:
+		if o.Lambda < 1 {
+			return o, fmt.Errorf("%w: Theorem3 requires Lambda >= 1, got %d", errInvalidOptions, o.Lambda)
+		}
+	default:
+		return o, fmt.Errorf("%w: unknown variant %d", errInvalidOptions, int(o.Variant))
+	}
+	return o, nil
+}
+
+// resolve applies defaults and computes the phase schedule for a graph on n
+// vertices. It returns the effective options alongside the schedule.
+func resolve(n int, o Options) (Options, schedule, error) {
+	o, err := o.withDefaults()
+	if err != nil {
+		return o, schedule{}, err
 	}
 	if n == 0 {
 		// Trivial: one empty schedule.
@@ -177,24 +218,8 @@ func resolve(n int, o Options) (Options, schedule, error) {
 	}
 	cn := o.C * float64(n)
 	lncn := math.Log(cn)
-
-	switch o.Variant {
-	case Theorem1, Theorem2:
-		if o.K == 0 {
-			o.K = int(math.Ceil(math.Log(float64(n))))
-			if o.K < 1 {
-				o.K = 1
-			}
-		}
-		if o.K < 1 {
-			return o, schedule{}, fmt.Errorf("%w: K=%d must be at least 1", errInvalidOptions, o.K)
-		}
-	case Theorem3:
-		if o.Lambda < 1 {
-			return o, schedule{}, fmt.Errorf("%w: Theorem3 requires Lambda >= 1, got %d", errInvalidOptions, o.Lambda)
-		}
-	default:
-		return o, schedule{}, fmt.Errorf("%w: unknown variant %d", errInvalidOptions, int(o.Variant))
+	if o.K == 0 && o.Variant != Theorem3 {
+		o.K = max(1, int(math.Ceil(math.Log(float64(n)))))
 	}
 
 	var s schedule

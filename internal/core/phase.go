@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"slices"
-	"sort"
-	"sync"
 
 	"netdecomp/internal/graph"
 	"netdecomp/internal/obs"
@@ -45,8 +43,9 @@ func beats(m float64, c int32, vi float64, ci int32) bool {
 // be superseded by larger ones (shorter paths), but the merge is written to
 // be correct under any arrival order. Because merges only ever improve the
 // state and ties break by center id, the final state — and therefore the
-// whole phase — is independent of delivery order, which is what lets the
-// sharded parallel mode below stay bit-identical to the sequential loop.
+// whole phase — is independent of delivery order: the next frontier can
+// stay in discovery order, and the engine program, which folds its inbox
+// in another order, reaches the same states.
 //
 // A value below a filled second slot is rejected by its first compare: it
 // loses to both slots whatever its center, and if its center holds a slot
@@ -111,17 +110,9 @@ type phaseResult struct {
 	truncations int // draws with r_v >= k+1 (events E_v)
 }
 
-// parallelThreshold is the frontier size below which the sharded parallel
-// round falls back to the sequential loop: tiny frontiers don't amortize
-// the goroutine barrier. The outputs are bit-identical either way, so the
-// switch is free to be heuristic (a variable so tests can force the
-// parallel path on small graphs).
-var parallelThreshold = 2048
-
-// shardScratch is one delivery loop's private accumulator: traffic
-// counters and its slice of the next frontier. The sequential round uses
-// one; the parallel round one per receiver shard.
-type shardScratch struct {
+// roundAcc is the delivery loop's accumulator for one round: its traffic
+// counters and the next frontier it discovers.
+type roundAcc struct {
 	msgs, words int64
 	maxw        int
 	next        []int32
@@ -146,7 +137,6 @@ type sendMsg struct {
 // activity the paper's analysis charges — rather than O(n).
 type phaseRunner struct {
 	g graph.Interface
-	n int
 
 	radius  []float64 // exponential draws of the current phase
 	state   []topTwo
@@ -165,14 +155,6 @@ type phaseRunner struct {
 	rowStart []int64
 	cAdj     []int32
 
-	// Optional deterministic parallel mode: receiver-sharded rounds with
-	// ascending-id merges, mirroring the dist scheduler's bit-identical
-	// contract. Zero values mean sequential.
-	parallel bool
-	workers  int
-	sendBuf  []sendMsg
-	shards   []shardScratch
-
 	// Telemetry histograms, set by RunWith when an Exec.Recorder is
 	// attached: sender-frontier size of every executed broadcast round, and
 	// per phase the number of rounds that carried messages vs. stayed
@@ -188,7 +170,6 @@ func newPhaseRunner(g graph.Interface) *phaseRunner {
 	n := g.N()
 	return &phaseRunner{
 		g:        g,
-		n:        n,
 		radius:   make([]float64, n),
 		state:    make([]topTwo, n),
 		snap:     make([]topTwo, n),
@@ -311,11 +292,7 @@ func (p *phaseRunner) runSparseSeeded(alive []bool, aliveList []int32, rounds in
 			p.snap[v] = p.state[v]
 		}
 		roundMsgs, roundWords := res.messages, res.words
-		if p.parallel && p.workers > 1 && len(p.frontier) >= parallelThreshold {
-			p.roundParallel(&res)
-		} else {
-			p.roundSequential(&res)
-		}
+		p.runRound(&res)
 		// The next frontier is kept in discovery order: top-two merges are
 		// order-independent (see merge) and every per-round statistic is a
 		// sum or max, so no observable output depends on the iteration
@@ -399,23 +376,23 @@ func (p *phaseRunner) loadSend(v int) (m sendMsg, ok bool) {
 	return m, m.k > 0
 }
 
-// deliver is the delivery loop of both round kinds: it folds sender
-// message m, one hop on, into every receiver in row and appends each
-// receiver whose state changed to sh.next (the dirty flags keep the next
-// frontier duplicate-free). Traffic is counted once per sender: one
-// message of 2·k words to each receiver.
+// deliver is the round's delivery loop: it folds sender message m, one
+// hop on, into every receiver in row and appends each receiver whose
+// state changed to acc.next (the dirty flags keep the next frontier
+// duplicate-free). Traffic is counted once per sender: one message of
+// 2·k words to each receiver.
 //
 // A receiver whose filled second slot is above the first entry's
 // decremented value is skipped after one compare: the second entry is no
 // larger, so neither can change its state (see merge).
-func (p *phaseRunner) deliver(sh *shardScratch, m sendMsg, row []int32) {
+func (p *phaseRunner) deliver(acc *roundAcc, m sendMsg, row []int32) {
 	if len(row) == 0 {
 		return
 	}
 	words := int(2 * m.k)
-	sh.msgs += int64(len(row))
-	sh.words += int64(len(row) * words)
-	sh.maxw = max(sh.maxw, words)
+	acc.msgs += int64(len(row))
+	acc.words += int64(len(row) * words)
+	acc.maxw = max(acc.maxw, words)
 	c1, d1 := m.c1, m.v1-1
 	c2, d2 := m.c2, m.v2-1
 	two := m.k == 2
@@ -430,93 +407,25 @@ func (p *phaseRunner) deliver(sh *shardScratch, m sendMsg, row []int32) {
 		}
 		if changed && !p.dirty[w] {
 			p.dirty[w] = true
-			sh.next = append(sh.next, w)
+			acc.next = append(acc.next, w)
 		}
 	}
 }
 
-// addTraffic folds one delivery shard's counters into the phase totals.
-func (res *phaseResult) addTraffic(sh *shardScratch) {
-	res.messages += sh.msgs
-	res.words += sh.words
-	res.maxMsgWords = max(res.maxMsgWords, sh.maxw)
-}
-
-// roundSequential delivers one round's frontier broadcasts in ascending
-// sender order, collecting the next frontier in discovery order.
-func (p *phaseRunner) roundSequential(res *phaseResult) {
-	sh := shardScratch{next: p.next}
+// runRound delivers one round's frontier broadcasts in ascending sender
+// order, collecting the next frontier in discovery order.
+func (p *phaseRunner) runRound(res *phaseResult) {
+	acc := roundAcc{next: p.next}
 	for _, v32 := range p.frontier {
 		v := int(v32)
 		if m, ok := p.loadSend(v); ok {
-			p.deliver(&sh, m, p.row(v))
+			p.deliver(&acc, m, p.row(v))
 		}
 	}
-	res.addTraffic(&sh)
-	p.next = sh.next
-}
-
-// roundParallel is the deterministic parallel round: receivers are
-// partitioned into contiguous id ranges (one shard per worker), every
-// worker walks the whole frontier in ascending sender order and delivers
-// only into its own range (found by binary search in the sorted compacted
-// rows). Shards own disjoint receiver state, so there are no write races;
-// every shard's work is a pure function of the frozen snapshot, so the
-// outcome is independent of scheduling and worker count — and, because
-// top-two merges are order-independent, bit-identical to the sequential
-// round.
-func (p *phaseRunner) roundParallel(res *phaseResult) {
-	workers := p.workers
-	if p.shards == nil {
-		p.shards = make([]shardScratch, workers)
-	} else if len(p.shards) < workers {
-		p.shards = append(p.shards, make([]shardScratch, workers-len(p.shards))...)
-	}
-	// Freeze each frontier vertex's outgoing message once, rather than
-	// once per shard.
-	p.sendBuf = p.sendBuf[:0]
-	for _, v32 := range p.frontier {
-		m, _ := p.loadSend(int(v32))
-		p.sendBuf = append(p.sendBuf, m)
-	}
-
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo := int32(int64(s) * int64(p.n) / int64(workers))
-			hi := int32(int64(s+1) * int64(p.n) / int64(workers))
-			sh := &p.shards[s]
-			sh.msgs, sh.words, sh.maxw = 0, 0, 0
-			sh.next = sh.next[:0]
-			for fi, v32 := range p.frontier {
-				if p.sendBuf[fi].k == 0 {
-					continue
-				}
-				row := p.row(int(v32))
-				// Rows are sorted, so a two-compare span check skips the
-				// binary searches for senders with no receiver in this
-				// shard — the common case on low-degree graphs, where it
-				// keeps the per-worker frontier walk near O(frontier).
-				if len(row) == 0 || row[len(row)-1] < lo || row[0] >= hi {
-					continue
-				}
-				a := sort.Search(len(row), func(i int) bool { return row[i] >= lo })
-				b := sort.Search(len(row), func(i int) bool { return row[i] >= hi })
-				p.deliver(sh, p.sendBuf[fi], row[a:b])
-			}
-		}(s)
-	}
-	wg.Wait()
-
-	next := p.next
-	for s := 0; s < workers; s++ {
-		sh := &p.shards[s]
-		res.addTraffic(sh)
-		next = append(next, sh.next...)
-	}
-	p.next = next
+	res.messages += acc.msgs
+	res.words += acc.words
+	res.maxMsgWords = max(res.maxMsgWords, acc.maxw)
+	p.next = acc.next
 }
 
 // presetState consults an optional preset hook (nil-safe).

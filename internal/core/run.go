@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"netdecomp/internal/dist"
 	"netdecomp/internal/graph"
@@ -25,18 +24,6 @@ type Exec struct {
 	// across phases — the same k+1 sub-round structure the engine path
 	// reports through dist.Options.Observer.
 	Observer func(dist.RoundStats)
-	// Parallel executes each broadcast round on a receiver-sharded worker
-	// pool. The result is bit-identical to the sequential simulation for
-	// any worker count — the same contract the dist engine's schedulers
-	// honor — so it moves wall-clock time only, and pays only on large
-	// graphs: on G(n,p) of average degree 8 (2-vCPU VM), two workers ran
-	// about 20% slower than the sequential rounds at n = 8192, broke even
-	// at n = 2^16 and ran about 15% faster at n = 2^18.
-	Parallel bool
-	// Workers caps the worker pool of the parallel mode; 0 or negative
-	// means GOMAXPROCS. The pool never exceeds one worker per 64 vertices.
-	// Ignored unless Parallel is set.
-	Workers int
 	// phaseFinal, when non-nil, receives each phase's final top-two states
 	// (the runner's full state array, valid on aliveList entries, read-only,
 	// invalidated by the next phase) right after the phase's rounds run and
@@ -106,17 +93,6 @@ func RunWith(g graph.Interface, o Options, x Exec) (*Decomposition, error) {
 	aliveCount := n
 
 	runner := newPhaseRunner(g)
-	if x.Parallel {
-		runner.parallel = true
-		workers := x.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		// One receiver shard per 64 vertices at most, the dist engine's
-		// rule: results do not depend on the worker count, so a huge
-		// Workers costs no more than that.
-		runner.workers = max(1, min(workers, (n+63)/64))
-	}
 	// ForceComplete may run past the theorem budget; this guard turns a
 	// (probability ~0) runaway into an error instead of a hang.
 	maxPhases := sched.budget

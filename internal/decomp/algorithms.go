@@ -12,29 +12,28 @@ import (
 
 // Built-in registrations. "elkin-neiman" is an alias for the Theorem 1
 // regime; "elkin-neiman/dist" is Theorem 1 on the message-passing engine
-// (any elkin-neiman/* name runs on the engine under WithEngine or
-// WithScheduler too). "mpx/dist" is the engine-backed MPX port; "mpx" the
-// sequential shifted Dijkstra; "linial-saks" and "ball-carving" the weak-
-// diameter and sequential-yardstick baselines.
+// (any elkin-neiman/* name runs on the engine under WithEngine too).
+// "mpx/dist" is the engine-backed MPX port; "mpx" the sequential shifted
+// Dijkstra; "linial-saks" and "ball-carving" the weak-diameter and
+// sequential-yardstick baselines.
 func init() {
-	Register(Func{"elkin-neiman", elkinNeiman(core.Theorem1, false)})
-	Register(Func{"elkin-neiman/theorem1", elkinNeiman(core.Theorem1, false)})
-	Register(Func{"elkin-neiman/theorem2", elkinNeiman(core.Theorem2, false)})
-	Register(Func{"elkin-neiman/theorem3", elkinNeiman(core.Theorem3, false)})
-	Register(Func{"elkin-neiman/dist", elkinNeiman(core.Theorem1, true)})
-	Register(Func{"linial-saks", linialSaks})
-	Register(Func{"mpx", mpxSequential})
-	Register(Func{"mpx/dist", mpxEngine})
-	Register(Func{"ball-carving", ballCarving})
+	Register(elkinNeiman("elkin-neiman", core.Theorem1, false))
+	Register(elkinNeiman("elkin-neiman/theorem1", core.Theorem1, false))
+	Register(elkinNeiman("elkin-neiman/theorem2", core.Theorem2, false))
+	Register(elkinNeiman("elkin-neiman/theorem3", core.Theorem3, false))
+	Register(elkinNeiman("elkin-neiman/dist", core.Theorem1, true))
+	Register(Func{AlgorithmName: "linial-saks", Run: linialSaks})
+	Register(Func{AlgorithmName: "mpx", Run: mpxSequential, check: checkMPX})
+	Register(Func{AlgorithmName: "mpx/dist", Run: mpxEngine, check: checkMPX})
+	Register(Func{AlgorithmName: "ball-carving", Run: ballCarving})
 }
 
-// engineOptions maps the scheduler/observer/telemetry part of a Config
-// onto the engine. With a nil Recorder the round recorder stays nil and
-// the engine's telemetry path is a single pointer test per round.
+// engineOptions maps the observer/telemetry part of a Config onto the
+// engine, which runs its sequential scheduler. With a nil Recorder the
+// round recorder stays nil and the engine's telemetry path is a single
+// pointer test per round.
 func engineOptions(cfg Config) dist.Options {
 	return dist.Options{
-		Parallel: cfg.Parallel,
-		Workers:  cfg.Workers,
 		Observer: cfg.Observer,
 		Recorder: cfg.Recorder.Rounds(),
 	}
@@ -87,28 +86,38 @@ func (p *Plan) CoreOptions() (core.Options, bool) {
 	return coreOptionsFor(variant, p.cfg), true
 }
 
-// elkinNeiman runs both core execution paths. forceEngine pins the engine
-// path regardless of cfg.Engine (the "/dist" registry name).
-func elkinNeiman(variant core.Variant, forceEngine bool) func(context.Context, graph.Interface, Config) (*Partition, error) {
-	return func(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
-		o := coreOptionsFor(variant, cfg)
-		var dec *core.Decomposition
-		var err error
-		if forceEngine || cfg.Engine {
-			dec, err = core.RunDistributed(ctx, g, o, engineOptions(cfg))
-		} else {
-			dec, err = core.RunWith(g, o, core.Exec{
-				Ctx:      ctx,
-				Observer: cfg.Observer,
-				Parallel: cfg.Parallel,
-				Workers:  cfg.Workers,
-				Recorder: cfg.Recorder,
-			})
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &dec.Partition, nil
+// elkinNeiman registers both core execution paths under name.
+// forceEngine pins the engine path regardless of cfg.Engine (the "/dist"
+// registry name).
+func elkinNeiman(name string, variant core.Variant, forceEngine bool) Func {
+	onEngine := func(cfg Config) bool { return forceEngine || cfg.Engine }
+	return Func{
+		AlgorithmName: name,
+		Run: func(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
+			o := coreOptionsFor(variant, cfg)
+			var dec *core.Decomposition
+			var err error
+			if onEngine(cfg) {
+				dec, err = core.RunDistributed(ctx, g, o, engineOptions(cfg))
+			} else {
+				dec, err = core.RunWith(g, o, core.Exec{
+					Ctx:      ctx,
+					Observer: cfg.Observer,
+					Recorder: cfg.Recorder,
+				})
+			}
+			if err != nil {
+				return nil, err
+			}
+			return &dec.Partition, nil
+		},
+		check: func(cfg Config) error {
+			o := coreOptionsFor(variant, cfg)
+			if onEngine(cfg) {
+				return o.ValidateDistributed()
+			}
+			return o.Validate()
+		},
 	}
 }
 
@@ -126,13 +135,19 @@ func linialSaks(ctx context.Context, g graph.Interface, cfg Config) (*Partition,
 	})
 }
 
+// mpxOptions maps a Config onto both MPX paths.
+func mpxOptions(cfg Config) baseline.MPXOptions {
+	return baseline.MPXOptions{Beta: defaultBeta(cfg.Beta), Seed: cfg.Seed}
+}
+
+func checkMPX(cfg Config) error { return mpxOptions(cfg).Validate() }
+
 func mpxSequential(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
-	return baseline.MPXContext(ctx, g, baseline.MPXOptions{Beta: defaultBeta(cfg.Beta), Seed: cfg.Seed})
+	return baseline.MPXContext(ctx, g, mpxOptions(cfg))
 }
 
 func mpxEngine(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
-	return baseline.MPXOnEngine(ctx, g,
-		baseline.MPXOptions{Beta: defaultBeta(cfg.Beta), Seed: cfg.Seed}, engineOptions(cfg))
+	return baseline.MPXOnEngine(ctx, g, mpxOptions(cfg), engineOptions(cfg))
 }
 
 func ballCarving(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {

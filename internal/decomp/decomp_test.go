@@ -71,14 +71,6 @@ func TestEngineAndSimulationAgree(t *testing.T) {
 	if !reflect.DeepEqual(a.MemberLists(), b.MemberLists()) {
 		t.Fatal("engine and simulation clusters differ")
 	}
-	c, err := decomp.MustGet("elkin-neiman").Decompose(ctx, g,
-		append(opts, decomp.WithScheduler(true, 4))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.MemberLists(), c.MemberLists()) {
-		t.Fatal("WithScheduler changed the clusters")
-	}
 }
 
 // TestObserverOrdering: callbacks arrive with strictly increasing round

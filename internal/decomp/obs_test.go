@@ -4,7 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"netdecomp/internal/core"
 	"netdecomp/internal/decomp"
+	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
 	"netdecomp/internal/graph"
 	"netdecomp/internal/obs"
@@ -68,71 +70,46 @@ func TestPlanRunRecorder(t *testing.T) {
 	}
 }
 
-// traceOf runs the plan against a fresh tracer and returns the event
-// stream with timestamps normalized to zero — everything about the
-// stream except wall-clock time.
-func traceOf(t *testing.T, pl *decomp.Plan, g graph.Interface) []obs.Event {
+// engineTrace runs the Elkin–Neiman node program on g under the engine
+// options eo, its rounds recorded under one span of a fresh tracer, and
+// returns the event stream with timestamps normalized to zero —
+// everything about the stream except wall-clock time.
+func engineTrace(t *testing.T, g graph.Interface, eo dist.Options) []obs.Event {
 	t.Helper()
 	trc := obs.NewTracer()
-	if _, err := pl.WithRecorder(obs.New(obs.NewRegistry(), trc)).Run(context.Background(), g); err != nil {
+	rec := obs.New(obs.NewRegistry(), trc)
+	span := rec.Span("run")
+	eo.Recorder = rec.Under(span).Rounds()
+	if _, err := core.RunDistributed(context.Background(), g, core.Options{Seed: 9, ForceComplete: true}, eo); err != nil {
 		t.Fatal(err)
 	}
+	span.End()
 	evs := trc.Events()
 	for i := range evs {
 		evs[i].TS = 0
-		// The scheduler choice is a semantic Config field, so the PlanKey
-		// differs across the plans under comparison by construction;
-		// normalize it like the timestamps.
-		for a := 0; a < evs[i].NArgs; a++ {
-			if evs[i].Args[a].K == "plankey" {
-				evs[i].Args[a].V = 0
-			}
-		}
 	}
 	return evs
 }
 
 // TestTelemetryDeterminism is the telemetry half of the bit-identical
-// scheduler contract: a fixed-seed run emits exactly the same span/event
-// stream — names, phases, nesting, per-round argument values — under the
-// sequential and parallel schedulers of both execution paths, for any
-// worker count. Only timestamps may differ.
+// scheduler contract: a fixed-seed engine run emits exactly the same
+// event stream — names, nesting, per-round argument values — under the
+// sequential and the parallel scheduler, for any worker count. Only
+// timestamps may differ.
 func TestTelemetryDeterminism(t *testing.T) {
-	// Large enough that the sim's receiver-sharded parallel rounds engage
-	// (the frontier starts at n, above the parallel threshold).
 	g := gen.Grid(64, 64)
-	for _, base := range []struct {
-		label string
-		opts  []decomp.Option
-	}{
-		{"sim", nil},
-		{"engine", []decomp.Option{decomp.WithEngine()}},
-	} {
-		opts := append([]decomp.Option{decomp.WithSeed(9), decomp.WithForceComplete()}, base.opts...)
-		seqPlan, err := decomp.Compile("elkin-neiman", opts...)
-		if err != nil {
-			t.Fatal(err)
+	want := engineTrace(t, g, dist.Options{})
+	if len(want) <= 2 {
+		t.Fatalf("sequential run emitted %d events, want its rounds inside the span", len(want))
+	}
+	for workers := 1; workers <= 4; workers++ {
+		got := engineTrace(t, g, dist.Options{Parallel: true, Workers: workers})
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d events, sequential emitted %d", workers, len(got), len(want))
 		}
-		want := traceOf(t, seqPlan, g)
-		if len(want) == 0 {
-			t.Fatalf("%s: sequential run emitted no events", base.label)
-		}
-		for workers := 1; workers <= 4; workers++ {
-			parPlan, err := decomp.Compile("elkin-neiman",
-				append(append([]decomp.Option{}, opts...), decomp.WithParallel(workers))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := traceOf(t, parPlan, g)
-			if len(got) != len(want) {
-				t.Fatalf("%s workers=%d: %d events, sequential emitted %d",
-					base.label, workers, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s workers=%d: event %d differs:\n  par: %+v\n  seq: %+v",
-						base.label, workers, i, got[i], want[i])
-				}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: event %d differs:\n  par: %+v\n  seq: %+v", workers, i, got[i], want[i])
 			}
 		}
 	}

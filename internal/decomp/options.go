@@ -37,14 +37,6 @@ type Config struct {
 	// engine instead of the sequential simulation ("elkin-neiman/dist"
 	// forces this).
 	Engine bool
-	// Parallel / Workers select deterministic parallel execution: the
-	// goroutine-pool scheduler for engine-backed runs, the
-	// receiver-sharded parallel rounds for the sequential Elkin–Neiman
-	// simulation. Either way the result is bit-identical to the sequential
-	// execution for any worker count. Setting them via WithScheduler also
-	// sets Engine; WithParallel leaves the execution path alone.
-	Parallel bool
-	Workers  int
 	// Observer streams per-round traffic statistics as the run executes.
 	// Engine-backed algorithms report real engine rounds; the sequential
 	// Elkin–Neiman simulation reports its message-accurate equivalent; the
@@ -103,28 +95,6 @@ func WithExactRadius() Option { return func(c *Config) { c.ExactRadius = true } 
 
 // WithEngine executes on the message-passing engine (Elkin–Neiman).
 func WithEngine() Option { return func(c *Config) { c.Engine = true } }
-
-// WithScheduler selects the engine scheduler: parallel toggles the
-// goroutine pool, workers caps its size (0 = GOMAXPROCS). It implies
-// WithEngine for algorithms that have both execution paths.
-func WithScheduler(parallel bool, workers int) Option {
-	return func(c *Config) {
-		c.Engine = true
-		c.Parallel = parallel
-		c.Workers = workers
-	}
-}
-
-// WithParallel enables deterministic parallel execution on whichever path
-// the algorithm runs (engine scheduler or simulation rounds) without
-// forcing the engine; workers caps the pool (0 = GOMAXPROCS). Results are
-// bit-identical to sequential execution.
-func WithParallel(workers int) Option {
-	return func(c *Config) {
-		c.Parallel = true
-		c.Workers = workers
-	}
-}
 
 // WithObserver streams per-round statistics to fn as the run executes.
 func WithObserver(fn func(dist.RoundStats)) Option {

@@ -62,7 +62,7 @@ func CompileDecomposer(d Decomposer, opts ...Option) (*Plan, error) {
 		return nil, fmt.Errorf("decomp: compile of Decomposer with empty name")
 	}
 	cfg := Apply(opts)
-	if err := validate(name, cfg); err != nil {
+	if err := validate(d, name, cfg); err != nil {
 		return nil, err
 	}
 	p := &Plan{name: name, d: d, cfg: cfg}
@@ -70,10 +70,11 @@ func CompileDecomposer(d Decomposer, opts ...Option) (*Plan, error) {
 	return p, nil
 }
 
-// validate rejects structurally nonsensical configurations at compile
-// time. Algorithm-specific domain checks (e.g. MPX's β range) stay with
-// the algorithms, which see the graph too.
-func validate(name string, cfg Config) error {
+// validate rejects at compile time a configuration that would fail on
+// every graph: the structurally nonsensical ones, and for the built-ins
+// whatever their runs reject before they look at the graph (core's option
+// checks, MPX's β range).
+func validate(d Decomposer, name string, cfg Config) error {
 	switch {
 	case cfg.K < 0:
 		return fmt.Errorf("decomp: compile %s: K must be non-negative, got %d", name, cfg.K)
@@ -85,16 +86,19 @@ func validate(name string, cfg Config) error {
 		return fmt.Errorf("decomp: compile %s: Beta must be non-negative, got %v", name, cfg.Beta)
 	case cfg.PhaseBudget < 0:
 		return fmt.Errorf("decomp: compile %s: PhaseBudget must be non-negative, got %d", name, cfg.PhaseBudget)
-	case cfg.Workers < 0:
-		return fmt.Errorf("decomp: compile %s: Workers must be non-negative, got %d", name, cfg.Workers)
+	}
+	if f, ok := d.(Func); ok && f.check != nil {
+		if err := f.check(cfg); err != nil {
+			return fmt.Errorf("decomp: compile %s: %w", name, err)
+		}
 	}
 	return nil
 }
 
 // planKey digests the algorithm name and every semantic Config field.
 // Seed is excluded — the cache key triple carries it separately, so one
-// compiled Plan covers a whole seed sweep — and Observer is excluded
-// because observation is a side channel of the execution, never part of
+// compiled Plan covers a whole seed sweep — and Observer and Recorder are
+// excluded because they are side channels of the execution, never part of
 // the produced Partition.
 func planKey(name string, cfg Config) uint64 {
 	const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211
@@ -126,8 +130,6 @@ func planKey(name string, cfg Config) uint64 {
 	word(uint64(cfg.PhaseBudget))
 	b(cfg.ExactRadius)
 	b(cfg.Engine)
-	b(cfg.Parallel)
-	word(uint64(cfg.Workers))
 	return h
 }
 
@@ -142,8 +144,9 @@ func (p *Plan) Config() Config { return p.cfg }
 func (p *Plan) Seed() uint64 { return p.cfg.Seed }
 
 // PlanKey returns the stable digest of (algorithm name, semantic Config):
-// every field except Seed (keyed separately) and Observer (execution side
-// channel). Plans compiled from equal inputs in different processes agree.
+// every field except Seed (keyed separately) and the execution side
+// channels Observer and Recorder. Plans compiled from equal inputs in
+// different processes agree.
 func (p *Plan) PlanKey() uint64 { return p.key }
 
 // WithSeed returns a copy of the plan running under a different seed. The

@@ -8,6 +8,7 @@ import (
 	"netdecomp/internal/dist"
 	"netdecomp/internal/gen"
 	"netdecomp/internal/graph"
+	"netdecomp/internal/obs"
 )
 
 // TestCompileValidates pins compile-time validation: unknown names and
@@ -22,11 +23,38 @@ func TestCompileValidates(t *testing.T) {
 		WithC(-0.5),
 		WithBeta(-0.1),
 		WithPhaseBudget(-3),
-		WithParallel(-4),
 	}
 	for i, opt := range bad {
 		if _, err := Compile("elkin-neiman", opt); err == nil {
 			t.Errorf("bad option %d accepted", i)
+		}
+	}
+	// A spec compiles iff its run succeeds: the checks a built-in's run
+	// makes before it looks at the graph are the ones Compile makes.
+	g := gen.Grid(6, 6)
+	for _, tc := range []struct {
+		spec PlanSpec
+		ok   bool
+	}{
+		{PlanSpec{Algorithm: "elkin-neiman", C: 2}, false},
+		{PlanSpec{Algorithm: "elkin-neiman", C: 3.5}, true},
+		{PlanSpec{Algorithm: "elkin-neiman/theorem2", C: 4.5}, false},
+		{PlanSpec{Algorithm: "elkin-neiman/theorem2", C: 5.5}, true},
+		{PlanSpec{Algorithm: "mpx", Beta: 1.5}, false},
+		{PlanSpec{Algorithm: "mpx/dist", Beta: 1.5}, false},
+		{PlanSpec{Algorithm: "mpx", Beta: 1}, true},
+		{PlanSpec{Algorithm: "elkin-neiman/dist", ExactRadius: true}, false},
+		{PlanSpec{Algorithm: "elkin-neiman", Engine: true, ExactRadius: true}, false},
+		{PlanSpec{Algorithm: "elkin-neiman", ExactRadius: true}, true},
+	} {
+		_, err := tc.spec.Compile()
+		if (err == nil) != tc.ok {
+			t.Errorf("%+v: compile error %v, want ok=%v", tc.spec, err, tc.ok)
+		}
+		cfg := Config{C: tc.spec.C, Beta: tc.spec.Beta, ExactRadius: tc.spec.ExactRadius, Engine: tc.spec.Engine}
+		_, runErr := MustGet(tc.spec.Algorithm).(Func).Run(context.Background(), g, cfg)
+		if (runErr == nil) != tc.ok {
+			t.Errorf("%+v: run error %v, want ok=%v", tc.spec, runErr, tc.ok)
 		}
 	}
 	if _, err := CompileDecomposer(nil); err == nil {
@@ -62,7 +90,6 @@ func TestPlanKeyAnatomy(t *testing.T) {
 		"PhaseBudget":   WithPhaseBudget(7),
 		"ExactRadius":   WithExactRadius(),
 		"Engine":        WithEngine(),
-		"Parallel":      WithParallel(2),
 	}
 	for field, opt := range variants {
 		v, err := Compile("elkin-neiman", WithK(3), WithC(8), opt)
@@ -86,8 +113,47 @@ func TestPlanKeyAnatomy(t *testing.T) {
 	if pl.WithObserver(func(dist.RoundStats) {}).PlanKey() != pl.PlanKey() {
 		t.Error("observer moved the plan key")
 	}
+	if pl.WithRecorder(obs.New(obs.NewRegistry(), nil)).PlanKey() != pl.PlanKey() {
+		t.Error("recorder moved the plan key")
+	}
 	if pl.WithSeed(99).Seed() != 99 || pl.Seed() != 0 {
 		t.Error("WithSeed mutated the original plan")
+	}
+
+	// Every Config field is keyed, with a variant above that sets it, or
+	// is one of the side channels; every keyed field has a PlanSpec twin
+	// of its type, and PlanSpec has nothing else but the algorithm name
+	// and the seed. A field that only steers execution cannot slip into
+	// the key, and the wire form cannot drift from Config.
+	sideChannels := map[string]bool{"Seed": true, "Observer": true, "Recorder": true}
+	cfgType, specType := reflect.TypeOf(Config{}), reflect.TypeOf(PlanSpec{})
+	for i := 0; i < cfgType.NumField(); i++ {
+		f := cfgType.Field(i)
+		opt, keyed := variants[f.Name]
+		if keyed == sideChannels[f.Name] {
+			t.Errorf("Config.%s: keyed=%v, side channel=%v; want exactly one", f.Name, keyed, sideChannels[f.Name])
+			continue
+		}
+		if !keyed {
+			continue
+		}
+		if reflect.ValueOf(Apply([]Option{opt})).FieldByName(f.Name).IsZero() {
+			t.Errorf("the %s variant leaves Config.%s zero", f.Name, f.Name)
+		}
+		if twin, ok := specType.FieldByName(f.Name); !ok || twin.Type != f.Type {
+			t.Errorf("Config.%s (%v) has no PlanSpec twin of its type", f.Name, f.Type)
+		}
+	}
+	for field := range variants {
+		if _, ok := cfgType.FieldByName(field); !ok {
+			t.Errorf("variant %s names no Config field", field)
+		}
+	}
+	for i := 0; i < specType.NumField(); i++ {
+		name := specType.Field(i).Name
+		if _, keyed := variants[name]; !keyed && name != "Algorithm" && name != "Seed" {
+			t.Errorf("PlanSpec.%s has no keyed Config twin", name)
+		}
 	}
 }
 

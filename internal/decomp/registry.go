@@ -28,6 +28,9 @@ type Func struct {
 	AlgorithmName string
 	// Run executes the algorithm on the resolved Config.
 	Run func(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error)
+	// check, set on built-ins only, is the part of Run's validation that
+	// does not depend on the graph; Compile makes it (see validate).
+	check func(Config) error
 }
 
 // Name implements Decomposer.

@@ -23,8 +23,6 @@ type PlanSpec struct {
 	PhaseBudget   int     `json:"phaseBudget,omitempty"`
 	ExactRadius   bool    `json:"exactRadius,omitempty"`
 	Engine        bool    `json:"engine,omitempty"`
-	Parallel      bool    `json:"parallel,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
 }
 
 // Compile resolves the spec into an immutable Plan.
@@ -42,7 +40,5 @@ func (sp PlanSpec) Compile() (*Plan, error) {
 		PhaseBudget:   sp.PhaseBudget,
 		ExactRadius:   sp.ExactRadius,
 		Engine:        sp.Engine,
-		Parallel:      sp.Parallel,
-		Workers:       sp.Workers,
 	}))
 }

@@ -214,6 +214,36 @@ func TestRegisterPlanValidatesAndIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestRegisterPlanRejectsSpecsNoGraphCanRun: a spec whose every
+// decompose would fail is a 400 at registration, and the message names
+// the offending field, instead of a 200 followed by a 500 per decompose.
+func TestRegisterPlanRejectsSpecsNoGraphCanRun(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	for _, tc := range []struct {
+		spec  PlanSpec
+		field string
+	}{
+		{PlanSpec{Algorithm: "elkin-neiman", C: 2}, "C=2"},
+		{PlanSpec{Algorithm: "elkin-neiman/theorem2", C: 4.5}, "C=4.5"},
+		{PlanSpec{Algorithm: "mpx", Beta: 1.5}, "Beta"},
+		{PlanSpec{Algorithm: "elkin-neiman/dist", ExactRadius: true}, "RadiusExact"},
+	} {
+		var er errorResponse
+		resp := postJSON(t, ts.URL+"/v1/plans", tc.spec, &er)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%+v: status %d, want 400", tc.spec, resp.StatusCode)
+		}
+		if !strings.Contains(er.Error, tc.field) {
+			t.Errorf("%+v: error %q does not name %s", tc.spec, er.Error, tc.field)
+		}
+	}
+	var listed []PlanInfo
+	getJSON(t, ts.URL+"/v1/plans", &listed)
+	if len(listed) != 0 {
+		t.Errorf("rejected specs were registered: %+v", listed)
+	}
+}
+
 func TestDecomposeColdWarmAndEquivalence(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 2})
 	gk, pk := register(t, ts.URL)

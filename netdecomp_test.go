@@ -53,7 +53,7 @@ func TestFacadeDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err := netdecomp.MustGet("elkin-neiman/dist").Decompose(ctx, g,
-		netdecomp.WithK(4), netdecomp.WithC(8), netdecomp.WithSeed(3), netdecomp.WithScheduler(true, 0))
+		netdecomp.WithK(4), netdecomp.WithC(8), netdecomp.WithSeed(3), netdecomp.WithEngine())
 	if err != nil {
 		t.Fatal(err)
 	}
