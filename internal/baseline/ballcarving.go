@@ -60,10 +60,8 @@ func BallCarvingContext(ctx context.Context, g graph.Interface, o BCOptions) (*p
 		alive[v] = true
 	}
 	remaining := n
-	dist := make([]int, n)
-	stamp := make([]int, n)
-	epoch := 0
-	queue := make([]int32, 0, n)
+	var s graph.BFSScratch
+	var sizeAt []int
 
 	maxPhases := 64*n + 64 // far above the O(log n) reality; bug guard
 	for phase := 0; remaining > 0; phase++ {
@@ -84,30 +82,17 @@ func BallCarvingContext(ctx context.Context, g graph.Interface, o BCOptions) (*p
 			if !working[start] {
 				continue
 			}
-			// Grow a BFS ball from start inside the working set, keeping
-			// per-radius prefix sizes.
-			epoch++
-			queue = queue[:0]
-			dist[start] = 0
-			stamp[start] = epoch
-			queue = append(queue, int32(start))
-			sizeAt := []int{1} // |B(start, r)| cumulative per radius
-			for head := 0; head < len(queue); head++ {
-				u := queue[head]
-				du := dist[u]
-				for _, w := range g.Neighbors(int(u)) {
-					if stamp[w] == epoch || !working[w] {
-						continue
-					}
-					stamp[w] = epoch
-					dist[w] = du + 1
-					queue = append(queue, w)
-					for len(sizeAt) <= du+1 {
-						sizeAt = append(sizeAt, sizeAt[len(sizeAt)-1])
-					}
-					sizeAt[du+1]++
+			// Grow a BFS ball from start inside the working set. The reached
+			// list is in nondecreasing distance, so |B(start, r)| is the
+			// index of its first vertex at distance r+1.
+			reached := s.Run(g, start, working, -1)
+			sizeAt = sizeAt[:0] // |B(start, r)| cumulative per radius
+			for i, u := range reached {
+				if s.Dist(int(u)) > len(sizeAt) {
+					sizeAt = append(sizeAt, i)
 				}
 			}
+			sizeAt = append(sizeAt, len(reached))
 			// Choose the carving radius: the first r with
 			// |B(r+1)| < growth·|B(r)| (must exist with r ≤ K).
 			r := len(sizeAt) - 1 // whole component fallback
@@ -119,14 +104,14 @@ func BallCarvingContext(ctx context.Context, g graph.Interface, o BCOptions) (*p
 			}
 			// Carve B(start, r); defer the shell at distance r+1.
 			var members []int
-			for _, u := range queue {
+			for _, u := range reached {
 				ui := int(u)
-				switch {
-				case dist[u] <= r:
+				switch d := s.Dist(ui); {
+				case d <= r:
 					members = append(members, ui)
 					alive[ui] = false
 					working[ui] = false
-				case dist[u] == r+1:
+				case d == r+1:
 					working[ui] = false // deferred to a later phase
 				}
 			}

@@ -29,6 +29,18 @@ type LSOptions struct {
 	ForceComplete bool
 }
 
+// Validate reports why o cannot run on any graph, or nil. A zero C stands
+// for its default of 8. LinialSaksContext begins with it.
+func (o LSOptions) Validate() error {
+	if o.K < 2 {
+		return fmt.Errorf("baseline: LinialSaks requires K >= 2, got %d", o.K)
+	}
+	if o.C != 0 && o.C <= 1 {
+		return fmt.Errorf("baseline: LinialSaks requires C > 1, got %v", o.C)
+	}
+	return nil
+}
+
 // LinialSaks runs the randomized weak-diameter network decomposition of
 // Linial and Saks on g.
 //
@@ -57,14 +69,11 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*pa
 		ctx = context.Background()
 	}
 	n := g.N()
-	if o.K < 2 {
-		return nil, fmt.Errorf("baseline: LinialSaks requires K >= 2, got %d", o.K)
-	}
 	if o.C == 0 {
 		o.C = 8
 	}
-	if o.C <= 1 {
-		return nil, fmt.Errorf("baseline: LinialSaks requires C > 1, got %v", o.C)
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
 	part := newPartition("linial-saks", n, partition.WeakDiameter)
 	if n == 0 {
@@ -93,10 +102,7 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*pa
 	bestID := make([]int, n)   // elected center per vertex this phase
 	bestDist := make([]int, n) // distance to elected center
 	bestR := make([]int, n)    // radius of elected center
-	dist := make([]int, n)
-	stamp := make([]int, n)
-	epoch := 0
-	queue := make([]int32, 0, n)
+	var s graph.BFSScratch
 	joiners := make([]int, 0, n) // reusable per-phase capture worklist
 
 	for phase := 0; aliveCount > 0; phase++ {
@@ -126,36 +132,21 @@ func LinialSaksContext(ctx context.Context, g graph.Interface, o LSOptions) (*pa
 
 		// Exact candidate election: BFS from every center within its
 		// radius, keeping the minimum-id winner at every reached vertex.
+		// The broadcast crosses one edge into every vertex it reaches
+		// besides the center.
 		for v := 0; v < n; v++ {
 			if !alive[v] {
 				continue
 			}
-			epoch++
-			queue = queue[:0]
-			dist[v] = 0
-			stamp[v] = epoch
-			queue = append(queue, int32(v))
-			for head := 0; head < len(queue); head++ {
-				u := queue[head]
-				du := dist[u]
+			reached := s.Run(g, v, alive, radius[v])
+			for _, u := range reached {
 				if bestID[u] == -1 || v < bestID[u] {
 					bestID[u] = v
-					bestDist[u] = du
+					bestDist[u] = s.Dist(int(u))
 					bestR[u] = radius[v]
 				}
-				if du >= radius[v] {
-					continue
-				}
-				for _, w := range g.Neighbors(int(u)) {
-					if stamp[w] == epoch || !alive[w] {
-						continue
-					}
-					stamp[w] = epoch
-					dist[w] = du + 1
-					queue = append(queue, w)
-					part.Metrics.Messages++
-				}
 			}
+			part.Metrics.Messages += int64(len(reached) - 1)
 		}
 
 		// Capture rule: join iff strictly interior to the winning ball.

@@ -8,8 +8,9 @@ import (
 
 // exactTopTwo computes, for every alive vertex, the exact top-two shifted
 // values m = r_v − d_{G_t}(y, v), by running an independent bounded BFS
-// from every alive center. Broadcast reach is min(⌊r_v⌋, maxHops); a
-// negative maxHops means unbounded (RadiusExact semantics).
+// from every alive center: graph's one search, sharing nothing with
+// phase.go. Broadcast reach is min(⌊r_v⌋, maxHops); a negative maxHops
+// means unbounded (RadiusExact semantics).
 //
 // This is the O(Σ ball-size · degree) reference implementation against
 // which the top-two forwarding discipline of phaseRunner.runSparse (and
@@ -22,12 +23,7 @@ func exactTopTwo(g graph.Interface, alive []bool, radius []float64, maxHops int)
 	for v := range states {
 		states[v].reset()
 	}
-	// Reusable BFS scratch with an epoch stamp.
-	dist := make([]int, n)
-	stamp := make([]int, n)
-	epoch := 0
-	queue := make([]int32, 0, n)
-
+	var s graph.BFSScratch
 	for v := 0; v < n; v++ {
 		if !alive[v] {
 			continue
@@ -37,27 +33,8 @@ func exactTopTwo(g graph.Interface, alive []bool, radius []float64, maxHops int)
 		if maxHops >= 0 && reach > maxHops {
 			reach = maxHops
 		}
-		epoch++
-		queue = queue[:0]
-		dist[v] = 0
-		stamp[v] = epoch
-		queue = append(queue, int32(v))
-		states[v].merge(int32(v), r)
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			du := dist[u]
-			if du >= reach {
-				continue
-			}
-			for _, w := range g.Neighbors(int(u)) {
-				if stamp[w] == epoch || !alive[w] {
-					continue
-				}
-				stamp[w] = epoch
-				dist[w] = du + 1
-				queue = append(queue, w)
-				states[w].merge(int32(v), r-float64(du+1))
-			}
+		for _, u := range s.Run(g, v, alive, reach) {
+			states[u].merge(int32(v), r-float64(s.Dist(int(u))))
 		}
 	}
 	return states

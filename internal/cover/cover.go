@@ -21,6 +21,7 @@ package cover
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"netdecomp/internal/decomp"
 	"netdecomp/internal/graph"
@@ -119,8 +120,9 @@ func BuildContext(ctx context.Context, g graph.Interface, o Options) (*Cover, er
 		Rounds:   p.Metrics.Rounds * (2*o.W + 1),
 	}
 	count := make([]int, g.N())
+	var s graph.BFSScratch
 	for i := range p.Clusters {
-		expanded := expand(g, p.Clusters[i].Members, o.W)
+		expanded := expandWith(&s, g, p.Clusters[i].Members, o.W)
 		c.Clusters = append(c.Clusters, expanded)
 		c.Color = append(c.Color, p.Clusters[i].Color)
 		for _, v := range expanded {
@@ -143,11 +145,16 @@ func power(g graph.Interface, t int) (graph.Interface, error) {
 	if t == 1 {
 		return g, nil
 	}
-	b := graph.NewBuilder(g.N())
-	for v := 0; v < g.N(); v++ {
-		dist := graph.BFSWithin(g, v, t)
-		for w, d := range dist {
-			if d > 0 && v < w {
+	// Scanning the distances of w > v in order hands the builder every row
+	// already sorted, which its per-row sort then passes over in linear
+	// time; appending each ball in BFS order, or sorting it, costs more.
+	n := g.N()
+	b := graph.NewBuilder(n)
+	var s graph.BFSScratch
+	for v := 0; v < n; v++ {
+		s.Run(g, v, nil, t)
+		for w := v + 1; w < n; w++ {
+			if s.Dist(w) > 0 {
 				b.AddEdge(v, w)
 			}
 		}
@@ -157,39 +164,25 @@ func power(g graph.Interface, t int) (graph.Interface, error) {
 
 // expand returns the union of W-balls around the members, sorted.
 func expand(g graph.Interface, members []int, w int) []int {
+	return expandWith(new(graph.BFSScratch), g, members, w)
+}
+
+// expandWith is expand on a scratch that Build reuses for every cluster,
+// so a cover's expansions cost their balls rather than n per cluster.
+func expandWith(s *graph.BFSScratch, g graph.Interface, members []int, w int) []int {
 	if w == 0 {
 		out := make([]int, len(members))
 		copy(out, members)
 		return out
 	}
-	in := make(map[int]bool, len(members)*4)
+	var out []int
 	for _, v := range members {
-		dist := graph.BFSWithin(g, v, w)
-		for u, d := range dist {
-			if d >= 0 {
-				in[u] = true
-			}
+		for _, u := range s.Run(g, v, nil, w) {
+			out = append(out, int(u))
 		}
 	}
-	out := make([]int, 0, len(in))
-	for u := range in {
-		out = append(out, u)
-	}
-	insertionSort(out)
-	return out
-}
-
-// insertionSort sorts small slices in place.
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Verify checks the covering property — every ball B(v, W) inside some
@@ -211,19 +204,14 @@ func (c *Cover) Verify(g graph.Interface) (maxDiameter int, err error) {
 			containing[v] = append(containing[v], i)
 		}
 	}
+	var s graph.BFSScratch
 	for v := 0; v < g.N(); v++ {
-		dist := graph.BFSWithin(g, v, c.W)
-		var ball []int
-		for u, d := range dist {
-			if d >= 0 {
-				ball = append(ball, u)
-			}
-		}
+		ball := s.Run(g, v, nil, c.W)
 		found := false
 		for _, ci := range containing[v] {
 			inside := true
 			for _, u := range ball {
-				if !membership[ci][u] {
+				if !membership[ci][int(u)] {
 					inside = false
 					break
 				}

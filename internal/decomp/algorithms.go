@@ -22,7 +22,7 @@ func init() {
 	Register(elkinNeiman("elkin-neiman/theorem2", core.Theorem2, false))
 	Register(elkinNeiman("elkin-neiman/theorem3", core.Theorem3, false))
 	Register(elkinNeiman("elkin-neiman/dist", core.Theorem1, true))
-	Register(Func{AlgorithmName: "linial-saks", Run: linialSaks})
+	Register(Func{AlgorithmName: "linial-saks", Run: linialSaks, check: checkLinialSaks})
 	Register(Func{AlgorithmName: "mpx", Run: mpxSequential, check: checkMPX})
 	Register(Func{AlgorithmName: "mpx/dist", Run: mpxEngine, check: checkMPX})
 	Register(Func{AlgorithmName: "ball-carving", Run: ballCarving})
@@ -121,18 +121,27 @@ func elkinNeiman(name string, variant core.Variant, forceEngine bool) Func {
 	}
 }
 
-func linialSaks(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
+// lsOptions maps a Config onto Linial–Saks on an n-vertex graph.
+func lsOptions(cfg Config, n int) baseline.LSOptions {
 	k := cfg.K
 	if k == 0 {
-		k = defaultLogK(g.N(), 2)
+		k = defaultLogK(n, 2)
 	}
-	return baseline.LinialSaksContext(ctx, g, baseline.LSOptions{
+	return baseline.LSOptions{
 		K:             k,
 		C:             cfg.C,
 		Seed:          cfg.Seed,
 		PhaseBudget:   cfg.PhaseBudget,
 		ForceComplete: cfg.ForceComplete,
-	})
+	}
+}
+
+// checkLinialSaks needs no graph: K = 0 selects the n-dependent default,
+// which is at least 2 on any n.
+func checkLinialSaks(cfg Config) error { return lsOptions(cfg, 0).Validate() }
+
+func linialSaks(ctx context.Context, g graph.Interface, cfg Config) (*Partition, error) {
+	return baseline.LinialSaksContext(ctx, g, lsOptions(cfg, g.N()))
 }
 
 // mpxOptions maps a Config onto both MPX paths.

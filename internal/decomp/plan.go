@@ -73,7 +73,7 @@ func CompileDecomposer(d Decomposer, opts ...Option) (*Plan, error) {
 // validate rejects at compile time a configuration that would fail on
 // every graph: the structurally nonsensical ones, and for the built-ins
 // whatever their runs reject before they look at the graph (core's option
-// checks, MPX's β range).
+// checks, MPX's β range, Linial–Saks's K and C).
 func validate(d Decomposer, name string, cfg Config) error {
 	switch {
 	case cfg.K < 0:

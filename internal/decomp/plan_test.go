@@ -46,12 +46,16 @@ func TestCompileValidates(t *testing.T) {
 		{PlanSpec{Algorithm: "elkin-neiman/dist", ExactRadius: true}, false},
 		{PlanSpec{Algorithm: "elkin-neiman", Engine: true, ExactRadius: true}, false},
 		{PlanSpec{Algorithm: "elkin-neiman", ExactRadius: true}, true},
+		{PlanSpec{Algorithm: "linial-saks", K: 1}, false},
+		{PlanSpec{Algorithm: "linial-saks", K: 2}, true},
+		{PlanSpec{Algorithm: "linial-saks", C: 0.5}, false},
+		{PlanSpec{Algorithm: "linial-saks", C: 1.5}, true},
 	} {
 		_, err := tc.spec.Compile()
 		if (err == nil) != tc.ok {
 			t.Errorf("%+v: compile error %v, want ok=%v", tc.spec, err, tc.ok)
 		}
-		cfg := Config{C: tc.spec.C, Beta: tc.spec.Beta, ExactRadius: tc.spec.ExactRadius, Engine: tc.spec.Engine}
+		cfg := Config{K: tc.spec.K, C: tc.spec.C, Beta: tc.spec.Beta, ExactRadius: tc.spec.ExactRadius, Engine: tc.spec.Engine}
 		_, runErr := MustGet(tc.spec.Algorithm).(Func).Run(context.Background(), g, cfg)
 		if (runErr == nil) != tc.ok {
 			t.Errorf("%+v: run error %v, want ok=%v", tc.spec, runErr, tc.ok)

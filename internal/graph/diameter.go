@@ -5,16 +5,10 @@ package graph
 // graphs with at most one vertex and ignores pairs in different components
 // (use IsConnected to detect that case). Cost is one BFS per vertex.
 func Diameter(g Interface) int {
-	n := g.N()
 	diam := 0
-	s := newBFSScratch(n)
-	for v := 0; v < n; v++ {
-		s.run(g, v, nil, -1)
-		for w := 0; w < n; w++ {
-			if s.seen(int32(w)) && s.dist[w] > diam {
-				diam = s.dist[w]
-			}
-		}
+	var s BFSScratch
+	for v := 0; v < g.N(); v++ {
+		diam = max(diam, s.farthest(g, v, nil))
 	}
 	return diam
 }
@@ -39,21 +33,13 @@ func SubsetStrongDiameter(g Interface, subset []int) (int, bool) {
 	view := NewView(g, subset)
 	n := view.N()
 	diam := 0
-	s := newBFSScratch(n)
+	var s BFSScratch
 	for v := 0; v < n; v++ {
-		s.run(view, v, nil, -1)
-		reached := 0
-		for w := 0; w < n; w++ {
-			if s.seen(int32(w)) {
-				reached++
-				if s.dist[w] > diam {
-					diam = s.dist[w]
-				}
-			}
-		}
-		if reached != n {
+		reached := s.Run(view, v, nil, -1)
+		if len(reached) != n {
 			return 0, false
 		}
+		diam = max(diam, s.dist[reached[n-1]])
 	}
 	return diam, true
 }
@@ -72,16 +58,15 @@ func SubsetWeakDiameter(g Interface, subset []int) (int, bool) {
 		return 0, true
 	}
 	diam := 0
-	s := newBFSScratch(g.N())
+	var s BFSScratch
 	for _, src := range subset {
-		s.run(g, src, nil, -1)
+		s.Run(g, src, nil, -1)
 		for _, w := range subset {
-			if !s.seen(int32(w)) {
+			d := s.Dist(w)
+			if d == Unreachable {
 				return 0, false
 			}
-			if s.dist[w] > diam {
-				diam = s.dist[w]
-			}
+			diam = max(diam, d)
 		}
 	}
 	return diam, true

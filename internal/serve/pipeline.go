@@ -102,6 +102,7 @@ type stageEvent struct {
 func (s *Server) resolvePipeline(w http.ResponseWriter, r *http.Request) (graph.Interface, *pipeline.Pipeline, string, int64, bool) {
 	var req PipelineRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.fail(w, http.StatusBadRequest, "decoding pipeline request: %v", err)
 		return nil, nil, "", 0, false

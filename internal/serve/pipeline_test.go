@@ -118,8 +118,9 @@ func TestPipelineEndpoint(t *testing.T) {
 	}
 }
 
-// TestPipelineEndpointErrors pins the failure modes: bad JSON, unknown
-// graph, invalid DAGs — all JSON error documents, correct status codes.
+// TestPipelineEndpointErrors pins the failure modes: bad JSON, an unknown
+// field, unknown graph, invalid DAGs — all JSON error documents, correct
+// status codes.
 func TestPipelineEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	gk := registerGraph(t, ts.URL, GraphSpec{Family: "gnp", N: 64, Seed: 1})
@@ -134,6 +135,8 @@ func TestPipelineEndpointErrors(t *testing.T) {
 		{"unknown graph", `{"graph": "00000000000000ff", "pipeline": {"stages": [{"id": "a", "spanner": {}}]}}`, 404, "not registered"},
 		{"no stages", `{"graph": "` + gk + `", "pipeline": {"stages": []}}`, 400, "no stages"},
 		{"no kind", `{"graph": "` + gk + `", "pipeline": {"stages": [{"id": "a"}]}}`, 400, "no kind set"},
+		{"unknown field", `{"graph": "` + gk + `", "pipeline": {"stages": [
+			{"id": "a", "decompose": {"algorithm": "elkin-neiman", "parallel": true}}]}}`, 400, `unknown field "parallel"`},
 		{"typed edge", `{"graph": "` + gk + `", "pipeline": {"stages": [
 			{"id": "a", "decompose": {"algorithm": "elkin-neiman"}},
 			{"id": "b", "mis": {}}], "edges": [{"from": "a", "to": "b"}]}}`, 400, "cannot consume"},

@@ -547,7 +547,9 @@ func (s *Server) handleRegisterPlan(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var spec PlanSpec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes)).Decode(&spec); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUploadBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		s.fail(w, http.StatusBadRequest, "decoding plan spec: %v", err)
 		return
 	}

@@ -217,16 +217,21 @@ func TestRegisterPlanValidatesAndIsIdempotent(t *testing.T) {
 // TestRegisterPlanRejectsSpecsNoGraphCanRun: a spec whose every
 // decompose would fail is a 400 at registration, and the message names
 // the offending field, instead of a 200 followed by a 500 per decompose.
+// So is a body with a field PlanSpec does not have, which a lenient
+// decoder would drop.
 func TestRegisterPlanRejectsSpecsNoGraphCanRun(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	for _, tc := range []struct {
-		spec  PlanSpec
+		spec  any
 		field string
 	}{
 		{PlanSpec{Algorithm: "elkin-neiman", C: 2}, "C=2"},
 		{PlanSpec{Algorithm: "elkin-neiman/theorem2", C: 4.5}, "C=4.5"},
 		{PlanSpec{Algorithm: "mpx", Beta: 1.5}, "Beta"},
 		{PlanSpec{Algorithm: "elkin-neiman/dist", ExactRadius: true}, "RadiusExact"},
+		{PlanSpec{Algorithm: "linial-saks", K: 1}, "K >= 2"},
+		{PlanSpec{Algorithm: "linial-saks", C: 0.5}, "C > 1"},
+		{map[string]any{"algorithm": "elkin-neiman", "parallel": true}, `unknown field "parallel"`},
 	} {
 		var er errorResponse
 		resp := postJSON(t, ts.URL+"/v1/plans", tc.spec, &er)

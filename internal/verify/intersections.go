@@ -32,15 +32,11 @@ func BallIntersections(g graph.Interface, clusterOf []int, w int) (max int, mean
 	}
 	total := 0
 	seen := make(map[int]struct{}, 8)
+	var s graph.BFSScratch
 	for v := 0; v < g.N(); v++ {
-		dist := graph.BFSWithin(g, v, w)
-		for k := range seen {
-			delete(seen, k)
-		}
-		for u, d := range dist {
-			if d >= 0 {
-				seen[clusterOf[u]] = struct{}{}
-			}
+		clear(seen)
+		for _, u := range s.Run(g, v, nil, w) {
+			seen[clusterOf[u]] = struct{}{}
 		}
 		if len(seen) > max {
 			max = len(seen)
